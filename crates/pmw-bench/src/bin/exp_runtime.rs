@@ -30,10 +30,7 @@
 //! `--trace <path>` to additionally stream that run as a JSONL trace
 //! (render it with the `run_report` binary).
 
-use pmw_bench::{
-    header, mw_update_reference, probe_json, row, skewed_cube_dataset, thread_axis,
-    threads_axis_json, trace_path,
-};
+use pmw_bench::{header, mw_update_reference, probe_json, row, skewed_cube_dataset, trace_path};
 use pmw_core::update::dual_certificate_into;
 use pmw_core::{DenseBackend, OnlinePmw, PmwConfig, StateBackend};
 use pmw_data::{BooleanCube, Histogram, PointMatrix, Universe};
@@ -291,60 +288,9 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     rows
 }
 
-/// One thread-axis row: the two representative parallel sweeps — the
-/// Θ(|X|) certificate kernel (universe axis) and the pooled sampled round
-/// (pool axis) — re-timed with the worker count forced to `threads`. The
-/// chunk boundaries are fixed independently of the worker count, so these
-/// rows measure pure scheduling: the numbers they produce are bit-for-bit
-/// the serial row's.
-fn measure_thread_row(log2_x: usize, budget: usize, rounds: usize, threads: usize) -> (f64, f64) {
-    pmw_data::par::with_threads(threads, || {
-        let dim = log2_x;
-        let m = 1usize << log2_x;
-        let cube = BooleanCube::new(dim).unwrap();
-        let points = PointMatrix::from_universe(&cube);
-        let loss =
-            LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![0] }, dim).unwrap();
-        let mut u = vec![0.0; m];
-        let reps = ((1usize << 22) / m.max(1)).clamp(3, 64);
-        let cert_ns = time_ns(reps, || {
-            dual_certificate_into(
-                black_box(&loss),
-                black_box(&points),
-                black_box(&[0.9]),
-                black_box(&[0.1]),
-                &mut u,
-            )
-            .unwrap();
-        });
-        let mut rng = StdRng::seed_from_u64(99 + log2_x as u64);
-        let mut sampled = SampledBackend::new(
-            UniversePoints(cube),
-            SampledConfig {
-                budget,
-                ..SampledConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let start = Instant::now();
-        for t in 0..rounds {
-            let (loss, t_o, t_h, eta) = axis_round(dim, t);
-            sampled.record_borrowed(&loss, &t_o, &t_h, eta).unwrap();
-            black_box(sampled.certificate_mean(&loss, &t_o, &t_h).unwrap());
-        }
-        (
-            cert_ns / m as f64,
-            start.elapsed().as_nanos() as f64 / rounds as f64,
-        )
-    })
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let parallel = cfg!(feature = "parallel");
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("# E11 / Section 4.3: Θ(|X|) kernel cost (parallel={parallel}, threads={threads}, smoke={smoke})");
+    println!("# E11 / Section 4.3: Θ(|X|) kernel cost (smoke={smoke})");
     header(&[
         "log2_X",
         "mw_update_ns_per_elem",
@@ -392,22 +338,6 @@ fn main() {
             );
             axis.push(r);
         }
-    }
-
-    // Thread axis: the representative parallel sweeps re-timed at each
-    // forced worker count. The chunked reductions use fixed boundaries,
-    // so every row computes identical bits — only the wall time moves.
-    let thread_counts = thread_axis();
-    let thread_size = *sizes.last().unwrap();
-    println!(
-        "# thread axis (log2_x={thread_size}, budget={axis_budget}, machine threads={threads})"
-    );
-    header(&["threads", "certificate_ns_per_elem", "sampled_round_ns"]);
-    let mut thread_rows = Vec::new();
-    for &t in &thread_counts {
-        let (cert, round) = measure_thread_row(thread_size, axis_budget, axis_rounds, t);
-        row(&format!("{t}"), &[cert, round]);
-        thread_rows.push((t, cert, round));
     }
 
     // Probed mirror run at the largest measured size: per-phase latency
@@ -472,27 +402,13 @@ fn main() {
             )
         })
         .collect();
-    let thread_baseline = thread_rows[0].2;
-    let thread_scaling: Vec<String> = thread_rows
-        .iter()
-        .map(|(t, cert, round)| {
-            format!(
-                "    {{\"threads\": {t}, \"certificate_ns_per_elem\": {cert:.3}, \
-                 \"sampled_round_ns\": {round:.1}, \"speedup_vs_1thread\": {:.2}}}",
-                thread_baseline / round
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"runtime_scaling\",\n  \"units\": \"ns_per_element\",\n  \
-         \"parallel\": {parallel},\n  \"machine_threads\": {threads},\n  \
-         \"threads_axis\": {},\n  \"smoke\": {smoke},\n  \
+         \"smoke\": {smoke},\n  \
          \"sizes\": [\n{}\n  ],\n  \"backend_axis\": [\n{}\n  ],\n  \
-         \"thread_scaling\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
-        threads_axis_json(&thread_counts),
+         \"probe\": {}\n}}\n",
         sizes.join(",\n"),
         axis_rows.join(",\n"),
-        thread_scaling.join(",\n"),
         probe_json(&probe_summary)
     );
     std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");

@@ -102,28 +102,6 @@ pub fn mw_update_reference(weights: &mut [f64], u: &[f64], eta: f64) {
     }
 }
 
-/// The worker counts every perf artifact reports per-thread-count rows
-/// for: the serial baseline, a 2-worker point, and — when the machine has
-/// more cores — the full core count. The rows are measured in-process by
-/// forcing each count through [`pmw_data::par::with_threads`], so the
-/// axis exists even on single-core CI runners (there the multi-worker
-/// rows record the chunked code path's overhead, not real scaling — the
-/// artifact's `machine_threads` field is the qualifier).
-pub fn thread_axis() -> Vec<usize> {
-    let avail = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut axis = vec![1, 2];
-    if avail > 2 {
-        axis.push(avail);
-    }
-    axis
-}
-
-/// Render a worker-count axis as the `"threads_axis"` JSON array.
-pub fn threads_axis_json(axis: &[usize]) -> String {
-    let items: Vec<String> = axis.iter().map(|t| t.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
 /// The `--trace <path>` argument shared by the experiment binaries: when
 /// present, the probed mirror run streams its JSONL trace there.
 pub fn trace_path() -> Option<String> {

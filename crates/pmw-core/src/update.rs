@@ -16,8 +16,8 @@
 //! This Θ(|X|) sweep is the mechanism's per-round bottleneck (Section 4.3),
 //! so it is evaluated through [`CmLoss::certificate_batch`]: one
 //! cache-friendly pass over the flat [`PointMatrix`] with zero per-point
-//! allocation, loop-fused for the concrete losses and chunked across cores
-//! under the `parallel` feature. [`dual_certificate_into`] writes into a
+//! allocation, loop-fused for the concrete losses. [`dual_certificate_into`]
+//! writes into a
 //! caller-provided buffer so steady-state rounds allocate nothing.
 
 use crate::error::PmwError;

@@ -34,9 +34,8 @@
 //! magnitudes. Zero-mass bins are `-∞` in log domain and stay exactly zero
 //! through updates, matching the dense-domain semantics (`0 · e^{-ηu} = 0`).
 //!
-//! With the `parallel` feature (off here by default; enabled by default at
-//! the workspace facade and bench crates), the update and normalization
-//! passes are chunked across cores via [`crate::par`].
+//! The update and normalization passes walk fixed chunks via
+//! [`crate::par`], so their reductions run in one fixed order.
 
 use crate::error::DataError;
 use crate::logweight::LogWeightFn;
@@ -350,8 +349,7 @@ impl Histogram {
     /// `log_w[x] -= η·u(x)` (tracking the new maximum as it goes): no
     /// exponentiation, no renormalization sweep. Normalization happens
     /// lazily on the next [`Histogram::weights`] read, centered at the
-    /// maximum for overflow safety. Chunked across cores under the
-    /// `parallel` feature.
+    /// maximum for overflow safety.
     pub fn mw_update(&mut self, u: &[f64], eta: f64) -> Result<(), DataError> {
         if u.len() != self.log_w.len() {
             return Err(DataError::DimensionMismatch {

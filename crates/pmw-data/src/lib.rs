@@ -16,8 +16,8 @@
 //!   materialization ceiling ([`source`]): the seam the sketching backends
 //!   and the mechanisms' row-based data path fetch points through,
 //! * the materialized universe as one **contiguous row-major matrix**
-//!   ([`matrix`]) — the layout every Θ(|X|) sweep walks — plus the chunked
-//!   parallel sweep helpers behind the `parallel` feature ([`par`]),
+//!   ([`matrix`]) — the layout every Θ(|X|) sweep walks — plus the
+//!   fixed-chunk sweep helpers ([`par`]),
 //! * **discretization** of continuous data onto finite grids, the rounding
 //!   step the paper declares "essentially without loss of generality"
 //!   (Section 1.1) ([`discretize`]),
@@ -46,8 +46,7 @@ pub use dataset::Dataset;
 pub use error::DataError;
 pub use histogram::Histogram;
 pub use logweight::{
-    gumbel_max_among, gumbel_max_index, gumbel_max_slice, standard_gumbel, LogWeightFn,
-    PointLogWeights,
+    gumbel_max_among, gumbel_max_index, standard_gumbel, LogWeightFn, PointLogWeights,
 };
 pub use matrix::PointMatrix;
 pub use source::{BigBitCube, PointSource, UniversePoints};

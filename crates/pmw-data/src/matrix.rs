@@ -7,7 +7,7 @@
 //! pointer chase plus a likely cache miss per point. [`PointMatrix`] stores
 //! the same `|X| × p` data as a single flat `Vec<f64>` with stride `p`:
 //! rows are `chunks_exact(p)` views, sweeps are linear scans, and block
-//! decomposition for the parallel kernels is free.
+//! decomposition for the chunked kernels is free.
 
 use crate::error::DataError;
 use crate::universe::Universe;
@@ -129,8 +129,8 @@ impl PointMatrix {
     }
 
     /// The rows in `[start, end)` as one contiguous sub-matrix view
-    /// (`(end - start) * dim` flat values) — the unit the parallel sweeps
-    /// hand to each worker.
+    /// (`(end - start) * dim` flat values) — the unit the chunked sweeps
+    /// walk.
     ///
     /// # Panics
     /// Panics when `start > end` or `end > len()`.

@@ -72,7 +72,7 @@ impl<L: CmLoss + Clone + 'static> CmLoss for L2Regularized<L> {
 
     /// The ridge term contributes the point-independent constant
     /// `σ·⟨direction, θ_hyp⟩` to every payoff, so the sweep is the inner
-    /// loss's (possibly fused/parallel) sweep plus one shifted pass.
+    /// loss's (possibly fused) sweep plus one shifted pass.
     fn certificate_batch(
         &self,
         theta_hyp: &[f64],

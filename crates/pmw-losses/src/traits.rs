@@ -129,9 +129,6 @@ pub trait CmLoss: Send + Sync {
 /// once, then runs the batched sweep.
 ///
 /// This is the entry point the mechanism's `dual_certificate` uses.
-/// Parallelism lives *inside* the concrete `certificate_batch`
-/// implementations (which know their `Self` is shareable across the sweep
-/// workers); the object-safe default stays sequential.
 pub fn certificate_sweep(
     loss: &dyn CmLoss,
     theta_hyp: &[f64],

@@ -21,57 +21,38 @@ use crate::error::SketchError;
 use crate::log::{CompactionPolicy, RoundUpdate, UpdateLog};
 use crate::source::PointSource;
 use pmw_core::{MeanFn, PmwError, QueryEstimate, ReadSnapshot};
-use pmw_data::par::{plan_fold_mut, ChunkPlan};
 use pmw_data::{LogWeightFn, PointMatrix, PointQuery};
 use pmw_dp::compaction_fold_radius;
 use pmw_losses::CmLoss;
 use pmw_obs::{NoopProbe, Phase, Probe};
 use std::cell::RefCell;
 
-/// Rows materialized per block in the exact replay sweeps: enough to
-/// amortize chunked `O(t·d)` replay across cores while keeping the point
-/// scratch a few hundred KiB — bounded in `|X|`, preserving the backend's
-/// no-universe-sized-allocation guarantee.
+/// Rows materialized per block in the exact replay sweeps: the point
+/// scratch stays a few hundred KiB — bounded in `|X|`, preserving the
+/// backend's no-universe-sized-allocation guarantee.
 const LAZY_BLOCK: usize = 4096;
 
-/// Rows per replay chunk inside one block. Fixed (never derived from the
-/// thread count), so chunk boundaries — and with them every reduction —
-/// are identical at any thread count.
-const LAZY_GRAIN: usize = 512;
-
 /// Replay the log over one materialized block of `out.len()` row-major
-/// points, chunked across cores with fixed boundaries. Each log-weight is
-/// an independent per-point replay, so the outputs are bit-for-bit the
-/// sequential loop's at any thread count; on error, the first failing
-/// chunk in index order wins.
+/// points. Each log-weight is an independent per-point replay; on error,
+/// the first failing point in index order wins.
 fn replay_block(
     log: &UpdateLog,
     flat: &[f64],
     dim: usize,
     out: &mut [f64],
 ) -> Result<(), SketchError> {
-    let plan = ChunkPlan::with_grain(out.len(), LAZY_GRAIN);
-    plan_fold_mut(
-        plan,
-        out,
-        |offset, chunk| {
-            let mut grad = Vec::new();
-            let rows = &flat[offset * dim..(offset + chunk.len()) * dim];
-            for (slot, point) in chunk.iter_mut().zip(rows.chunks_exact(dim)) {
-                *slot = log.log_weight_at(point, &mut grad)?;
-            }
-            Ok(())
-        },
-        Result::and,
-    )
+    let mut grad = Vec::new();
+    for (slot, point) in out.iter_mut().zip(flat.chunks_exact(dim)) {
+        *slot = log.log_weight_at(point, &mut grad)?;
+    }
+    Ok(())
 }
 
 /// The exact two-pass (shift, then normalize-and-accumulate) replay sweep
 /// shared by the live backend and its snapshots: blocks of points are
-/// materialized sequentially (point sources need not be `Sync`), the
-/// `O(t·d)` log replay over each block runs chunked across cores, and the
-/// normalizer/numerator accumulate sequentially in original `x` order —
-/// so the result is bit-for-bit the single-threaded streaming sweep's.
+/// materialized, the `O(t·d)` log replay runs over each block, and the
+/// normalizer/numerator accumulate in original `x` order — so the result
+/// is bit-for-bit the streaming sweep's.
 fn lazy_sweep<S: PointSource, E: From<SketchError>>(
     source: &S,
     log: &UpdateLog,
@@ -213,8 +194,8 @@ impl<S: PointSource, P: Probe> LazyLogBackend<S, P> {
 
     /// The **exact** expected query value `⟨q, D̂_t⟩` under the lazily
     /// represented hypothesis: a streaming log-sum-exp sweep over the
-    /// whole universe — `Θ(|X|·t·d)` time with the replay chunked across
-    /// cores block by block, fixed-size block scratch, no `|X|`-sized
+    /// whole universe — `Θ(|X|·t·d)` time with the replay run block by
+    /// block, fixed-size block scratch, no `|X|`-sized
     /// allocation. This is the reference evaluation the Monte-Carlo
     /// `SampledBackend` estimates are checked against; it is a
     /// spot-check/testing tool, not a per-round operation.
@@ -232,8 +213,7 @@ impl<S: PointSource, P: Probe> LazyLogBackend<S, P> {
     /// The two-pass replay sweep behind
     /// [`Self::expected_query_value`], separated so the replay span stays
     /// balanced across its error returns. Delegates to the shared
-    /// block-wise [`lazy_sweep`], whose `O(t·d)` replay is chunked across
-    /// cores with thread-count-independent boundaries.
+    /// block-wise [`lazy_sweep`].
     fn expected_query_value_sweep(
         &self,
         query: &dyn pmw_data::PointQuery,

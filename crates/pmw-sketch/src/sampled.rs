@@ -53,7 +53,7 @@ use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
 use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
 use pmw_data::par::{plan_fold, plan_fold_mut, plan_for_each_mut, ChunkPlan};
-use pmw_data::{gumbel_max_slice, Histogram, PointMatrix, PointQuery};
+use pmw_data::{gumbel_max_index, Histogram, PointMatrix, PointQuery};
 use pmw_dp::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
     hoeffding_radius, uncovered_mass_bound, RadiusBound, SamplingAccountant,
@@ -186,13 +186,10 @@ pub struct MaxEstimate {
     pub beta: f64,
 }
 
-/// Chunk grain for pool-axis sweeps. Pool sweeps do real per-element work
-/// (loss gradients, `O(t·d)` log replay), so they parallelize profitably at
-/// much smaller chunks than the universe-sized elementwise passes behind
-/// [`pmw_data::par::PAR_THRESHOLD`]; 256 splits the default 2048-candidate
-/// escalation pools eight ways while leaving every ≤256-budget test pool a
-/// single chunk (whose accumulation order is unchanged from the historical
-/// sequential sweep).
+/// Chunk grain for pool-axis sweeps. It fixes the pool's reduction order:
+/// 256 splits the default 2048-candidate pools eight ways while leaving
+/// every ≤256-budget test pool a single chunk (whose accumulation order is
+/// unchanged from the historical sequential sweep).
 const POOL_GRAIN: usize = 256;
 
 /// The SNIS accumulator of one moment sweep: the estimate Σŵ·f plus the
@@ -219,9 +216,7 @@ impl MomentAcc {
 
 /// One chunk of the SNIS moment sweep: evaluate `f` on every
 /// positive-weight slot of the block (slots are global: `offset + i`) and
-/// accumulate the four moments in slot order. The single kernel both the
-/// sequential (`FnMut`) and parallel (`Fn` per chunk) estimate paths run,
-/// which is what makes their floats identical.
+/// accumulate the four moments in slot order.
 fn chunk_moments<E>(
     offset: usize,
     block: &[f64],
@@ -240,6 +235,28 @@ fn chunk_moments<E>(
         }
     }
     Ok(acc)
+}
+
+/// Replay the log at every candidate — universe index `indices[i]`, its
+/// point in row `i` of the row-major `flat` — into `log_w`. Returns
+/// whether any candidate missed the checkpoint panel (replayed unseeded,
+/// inheriting the full folded-drift distortion bound instead of the
+/// panel's tighter one). On error the first failing candidate wins.
+fn replay_candidates(
+    log: &UpdateLog,
+    flat: &[f64],
+    dim: usize,
+    indices: &[usize],
+    log_w: &mut [f64],
+) -> Result<bool, SketchError> {
+    let mut grad = Vec::new();
+    let mut any_unseeded = false;
+    for ((slot, row), &idx) in log_w.iter_mut().zip(flat.chunks_exact(dim)).zip(indices) {
+        let (lw, seeded) = log.log_weight_seeded(idx, row, &mut grad)?;
+        *slot = lw;
+        any_unseeded |= !seeded;
+    }
+    Ok(any_unseeded)
 }
 
 /// The borrowed read-state shared by the live [`SampledBackend`] and its
@@ -262,9 +279,8 @@ struct SketchReadView<'a> {
     beta: f64,
     max_usable_radius: f64,
     /// The pool's fixed chunk layout, hoisted once per pool size and shared
-    /// by every sweep (SNIS, moments, payoffs, replay, Gumbel argmax) so
-    /// all reductions run in the same chunk order — bit-for-bit identical
-    /// across thread counts and across the `parallel` feature.
+    /// by every reduction (SNIS normalizer, moments, read radius) so they
+    /// all run in the same chunk order.
     plan: ChunkPlan,
 }
 
@@ -337,11 +353,8 @@ impl SketchReadView<'_> {
     /// Generic over the error type so the live path keeps surfacing
     /// [`SketchError`] while snapshot reads surface [`PmwError`] directly.
     ///
-    /// Sequential (the closure is `FnMut`, the shape the [`MeanFn`] trait
-    /// route hands us), but iterating the plan's chunks in chunk order —
-    /// the exact accumulation the parallel sibling
-    /// [`Self::estimate_mean_par`] reproduces, so both paths agree
-    /// bit-for-bit.
+    /// The moment sweep walks the plan's chunks in chunk order and stops at
+    /// the first error.
     fn estimate_mean<E: From<SketchError>>(
         &self,
         ledger: &Mutex<SamplingAccountant>,
@@ -371,44 +384,7 @@ impl SketchReadView<'_> {
         )
     }
 
-    /// Parallel sibling of [`Self::estimate_mean`]: the per-point closure
-    /// is `Fn + Sync` and receives a per-chunk gradient scratch, so chunks
-    /// evaluate concurrently. Per-chunk moments combine **in chunk order**
-    /// (first error in chunk order wins), making the result bit-for-bit
-    /// identical to the sequential path at any thread count.
-    fn estimate_mean_par<E>(
-        &self,
-        ledger: &Mutex<SamplingAccountant>,
-        label: &'static str,
-        scale: f64,
-        f: impl Fn(usize, &[f64], &mut Vec<f64>) -> Result<f64, E> + Sync,
-    ) -> Result<Estimate, E>
-    where
-        E: From<SketchError> + Send,
-    {
-        let (w, mean_shifted, shift) = self.snis();
-        let dim = self.pool_points.dim();
-        let flat = self.pool_points.as_flat();
-        let acc = plan_fold(
-            self.plan,
-            &w,
-            |offset, wc| {
-                let block = &flat[offset * dim..(offset + wc.len()) * dim];
-                let mut grad = Vec::new();
-                let mut g = |slot: usize, point: &[f64]| f(slot, point, &mut grad);
-                chunk_moments(offset, block, dim, wc, &mut g)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x.merge(y)),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        )?;
-        self.finish_estimate(ledger, label, scale, acc, mean_shifted, shift)
-    }
-
-    /// The minimum-of-three-bounds tail shared by the sequential and
-    /// parallel moment sweeps.
+    /// The minimum-of-three-bounds tail of [`Self::estimate_mean`].
     fn finish_estimate<E: From<SketchError>>(
         &self,
         ledger: &Mutex<SamplingAccountant>,
@@ -532,18 +508,20 @@ impl SketchReadView<'_> {
 /// A published, immutable read view of the sketched MW state — the
 /// [`ReadSnapshot`] the [`SampledBackend`] hands to concurrent readers.
 ///
-/// The pool triple is **cloned** at publish time (`O(m·d)` — the same
-/// order as the round update that preceded it), so writer-side faults
-/// after publication (failed rounds, rollbacks, poisoning, pool
-/// corruption) can never reach an already-published snapshot. The
-/// sampling ledger, by contrast, is **shared** (`Arc`) with the live
-/// backend: concentration claims made by snapshot reads land in the same
-/// union-bound record as the live backend's, in arrival order, so the
-/// accuracy accounting stays complete no matter which path served a read.
+/// The pool indices and log-weights are **cloned** at publish time
+/// (`O(m)`), and the pool points are **shared** (`Arc`): the backend never
+/// mutates them in place, only replaces them wholesale on a resample or
+/// growth. Writer-side faults after publication (failed rounds,
+/// rollbacks, poisoning, pool corruption) can therefore never reach an
+/// already-published snapshot. The sampling ledger is **shared** (`Arc`)
+/// with the live backend too: concentration claims made by snapshot reads
+/// land in the same union-bound record as the live backend's, in arrival
+/// order, so the accuracy accounting stays complete no matter which path
+/// served a read.
 #[derive(Debug, Clone)]
 pub struct SampledSnapshot {
     pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    pool_points: Arc<PointMatrix>,
     pool_log_w: Vec<f64>,
     exhaustive: bool,
     drift_bound: f64,
@@ -606,7 +584,7 @@ impl ReadSnapshot for SampledSnapshot {
             ));
         }
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
-        // cloned pool points — identical floats to the live backend's
+        // frozen pool points — identical floats to the live backend's
         // solve at the publish round.
         let (weights, _, _) = self.view().snis();
         Ok(minimize_weighted(
@@ -625,11 +603,11 @@ impl ReadSnapshot for SampledSnapshot {
         crate::log::validate_query_shape(query, self.universe_size, self.dim)?;
         let (lo, hi) = query.value_bounds();
         let scale = lo.abs().max(hi.abs());
-        let est = self.view().estimate_mean_par::<PmwError>(
+        let est = self.view().estimate_mean::<PmwError>(
             &self.ledger,
             "query-mean",
             scale,
-            |slot, point, _grad| {
+            |slot, point| {
                 crate::log::query_value_at(query, self.pool_indices[slot], point)
                     .map_err(PmwError::from)
             },
@@ -709,7 +687,7 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     config: SampledConfig,
     log: UpdateLog,
     pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    pool_points: Arc<PointMatrix>,
     pool_log_w: Vec<f64>,
     exhaustive: bool,
     resamples: usize,
@@ -760,7 +738,7 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     /// Fixed chunk layout of the pool, hoisted here once per pool size
     /// (construction, growth, restore) and reused by every sweep of every
     /// round instead of being recomputed per call. Boundaries depend only
-    /// on `(pool size, POOL_GRAIN)`, never on the thread count.
+    /// on `(pool size, POOL_GRAIN)`.
     plan: ChunkPlan,
 }
 
@@ -769,7 +747,7 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
 /// round's first mutation, dropped on success.
 struct PoolSnapshot {
     pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    pool_points: Arc<PointMatrix>,
     pool_log_w: Vec<f64>,
     log_len: usize,
     exhaustive: bool,
@@ -843,7 +821,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             config,
             log: UpdateLog::new(),
             pool_indices,
-            pool_points,
+            pool_points: Arc::new(pool_points),
             pool_log_w,
             exhaustive,
             resamples: 0,
@@ -904,11 +882,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Publish an immutable [`SampledSnapshot`] of the current sketched
-    /// state: clone-on-publish of the pool triple (`O(m·d)` — the same
-    /// order as one round update), drift envelope frozen, sampling ledger
-    /// shared. Fails closed on poisoned backends — a snapshot must never
-    /// freeze inconsistent state — and records the publish round so the
-    /// post-round health gauges can report snapshot age.
+    /// state: pool indices and log-weights cloned (`O(m)`), pool points
+    /// and sampling ledger shared, drift envelope frozen. Fails closed on
+    /// poisoned backends — a snapshot must never freeze inconsistent state
+    /// — and records the publish round so the post-round health gauges can
+    /// report snapshot age.
     pub fn publish_snapshot(&self) -> Result<SampledSnapshot, SketchError> {
         self.ensure_usable()?;
         self.published_round.set(Some(self.log.len()));
@@ -1021,37 +999,25 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             });
         }
         // Two passes (evaluate, then apply) so a failed evaluation leaves
-        // the pool untouched. Both passes run chunked over the hoisted pool
-        // plan: payoffs and the log-weight decrement are per-element (no
-        // reduction), so chunking cannot change any value; the first error
-        // in chunk order wins, matching the sequential sweep.
+        // the pool untouched.
         self.probe.span_begin(Phase::PoolSweep);
-        let dim = self.source.dim();
-        let flat = self.pool_points.as_flat();
         let mut payoffs = vec![0.0; self.pool_log_w.len()];
-        let evaluated = plan_fold_mut(
-            self.plan,
-            &mut payoffs,
-            |offset, chunk| {
-                let mut grad = Vec::new();
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                for (slot, point) in chunk.iter_mut().zip(block.chunks_exact(dim)) {
-                    *slot = update.payoff(point, &mut grad)?;
-                }
-                Ok::<(), SketchError>(())
-            },
-            Result::and,
-        );
+        let mut grad = Vec::new();
+        let evaluated = payoffs
+            .iter_mut()
+            .zip(self.pool_points.iter())
+            .try_for_each(|(slot, point)| {
+                *slot = update.payoff(point, &mut grad)?;
+                Ok(())
+            });
         if let Err(e) = evaluated {
             self.probe.span_end(Phase::PoolSweep);
             return Err(e);
         }
         let eta = update.eta();
-        plan_for_each_mut(self.plan, &mut self.pool_log_w, |offset, chunk| {
-            for (lw, u) in chunk.iter_mut().zip(&payoffs[offset..]) {
-                *lw -= eta * u;
-            }
-        });
+        for (lw, u) in self.pool_log_w.iter_mut().zip(&payoffs) {
+            *lw -= eta * u;
+        }
         self.probe.span_end(Phase::PoolSweep);
         self.log.push(update);
         // Health sampling: pure arithmetic over the cached log-weights —
@@ -1106,49 +1072,21 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let mut flat = vec![0.0; m * dim];
         let mut log_w = vec![0.0; m];
         self.probe.span_begin(Phase::LogReplay);
-        // Materialize sequentially ([`PointSource`] is not required to
-        // be `Sync`), then replay the `O(t·d)`-per-candidate log sweep
-        // chunked over the flat block. Each log-weight is a
-        // per-candidate value (no cross-candidate reduction), so the
-        // chunked replay is bit-for-bit the sequential one.
+        // Materialize the candidates, then replay the
+        // `O(t·d)`-per-candidate log sweep over the flat block.
         for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
             self.source.write_point(idx, row);
         }
-        let log = &self.log;
-        let checkpoint_missing = log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        // The fold returns whether any candidate missed the checkpoint
-        // panel (had to replay unseeded, inheriting the full folded-drift
-        // distortion bound instead of the panel's tighter one).
-        let replayed = plan_fold_mut(
-            self.plan,
-            &mut log_w,
-            |offset, chunk| {
-                let mut grad = Vec::new();
-                let mut any_unseeded = false;
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                for ((slot, row), &idx) in chunk
-                    .iter_mut()
-                    .zip(block.chunks_exact(dim))
-                    .zip(&indices[offset..])
-                {
-                    let (lw, seeded) = log.log_weight_seeded(idx, row, &mut grad)?;
-                    *slot = lw;
-                    any_unseeded |= !seeded;
-                }
-                Ok::<bool, SketchError>(any_unseeded)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x || y),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        );
+        let checkpoint_missing = self.log.checkpoint().map_or(0.0, |c| c.missing_drift());
+        let replayed = replay_candidates(&self.log, &flat, dim, &indices, &mut log_w);
         self.probe.span_end(Phase::LogReplay);
         let any_unseeded = replayed?;
         // All fresh state computed; swap atomically so a failed
         // re-evaluation above leaves the old pool untouched.
-        self.pool_points = PointMatrix::from_flat(flat, dim)
-            .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
+        self.pool_points = Arc::new(
+            PointMatrix::from_flat(flat, dim)
+                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
+        );
         self.pool_indices = indices;
         self.pool_log_w = log_w;
         self.pool_missing_drift = if any_unseeded {
@@ -1195,42 +1133,10 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let n = self.source.len();
         let dim = self.source.dim();
         let m = self.pool_size();
-        // Replay of the fresh candidates runs chunked over their flat
-        // block: each log-weight is an independent `O(t·d)` evaluation, so
-        // the chunked sweep is bit-for-bit the sequential one. Points are
-        // materialized sequentially first ([`PointSource`] is not required
-        // to be `Sync`), and all RNG draws happen up front in the original
-        // order (the replay itself consumes none), keeping the rng stream
-        // identical to the historical interleaved loop.
+        // Points are materialized first and all RNG draws happen up front
+        // in the original order (the replay itself consumes none), keeping
+        // the rng stream identical to the historical interleaved loop.
         let checkpoint_missing = self.log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        // Returns whether any candidate missed the checkpoint panel and
-        // had to replay unseeded (inheriting the full folded-drift bound).
-        let replay = |flat: &[f64], idxs: &[usize], log_w: &mut [f64], log: &UpdateLog| {
-            plan_fold_mut(
-                ChunkPlan::with_grain(log_w.len(), POOL_GRAIN),
-                log_w,
-                |offset, chunk| {
-                    let mut grad = Vec::new();
-                    let mut any_unseeded = false;
-                    let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                    for ((slot, row), &idx) in chunk
-                        .iter_mut()
-                        .zip(block.chunks_exact(dim))
-                        .zip(&idxs[offset..])
-                    {
-                        let (lw, seeded) = log.log_weight_seeded(idx, row, &mut grad)?;
-                        *slot = lw;
-                        any_unseeded |= !seeded;
-                    }
-                    Ok::<bool, SketchError>(any_unseeded)
-                },
-                |a, b| match (a, b) {
-                    (Ok(x), Ok(y)) => Ok(x || y),
-                    (Err(e), _) => Err(e),
-                    (_, Err(e)) => Err(e),
-                },
-            )
-        };
         if target >= n {
             // The doubled pool would cover the universe: enumerate it once
             // and become exhaustive — every later estimate is exact in
@@ -1241,9 +1147,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 self.source.write_point(idx, row);
             }
             let mut log_w = vec![0.0; n];
-            let any_unseeded = replay(&flat, &indices, &mut log_w, &self.log)?;
-            self.pool_points = PointMatrix::from_flat(flat, dim)
-                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
+            let any_unseeded = replay_candidates(&self.log, &flat, dim, &indices, &mut log_w)?;
+            self.pool_points = Arc::new(
+                PointMatrix::from_flat(flat, dim)
+                    .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
+            );
             self.pool_indices = indices;
             self.pool_log_w = log_w;
             self.exhaustive = true;
@@ -1259,7 +1167,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 self.source.write_point(idx, row);
             }
             let mut fresh_log_w = vec![0.0; fresh.len()];
-            let any_unseeded = replay(&fresh_flat, &fresh, &mut fresh_log_w, &self.log)?;
+            let any_unseeded =
+                replay_candidates(&self.log, &fresh_flat, dim, &fresh, &mut fresh_log_w)?;
             // The existing slots keep their own distortion bound; the
             // appended ones carry theirs — the pool-wide bound is the max.
             let fresh_missing = if any_unseeded {
@@ -1277,8 +1186,10 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             indices.extend_from_slice(&fresh);
             let mut log_w = self.pool_log_w.clone();
             log_w.extend_from_slice(&fresh_log_w);
-            self.pool_points = PointMatrix::from_flat(flat, dim)
-                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
+            self.pool_points = Arc::new(
+                PointMatrix::from_flat(flat, dim)
+                    .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
+            );
             self.pool_indices = indices;
             self.pool_log_w = log_w;
         }
@@ -1369,10 +1280,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Capture everything a failed round must restore. Taken before a
-    /// round's first mutation, dropped on success. `O(m·d)` — the same
-    /// order as the round update it protects. (Distinct from the
-    /// *published* read snapshot, [`Self::publish_snapshot`]: this one is
-    /// the rollback checkpoint of the transactional round.)
+    /// round's first mutation, dropped on success. `O(m)`: the pool points
+    /// are shared, since a round only ever replaces them wholesale.
+    /// (Distinct from the *published* read snapshot,
+    /// [`Self::publish_snapshot`]: this one is the rollback checkpoint of
+    /// the transactional round.)
     fn pool_checkpoint(&self) -> PoolSnapshot {
         PoolSnapshot {
             pool_indices: self.pool_indices.clone(),
@@ -1639,20 +1551,17 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// nothing) and provably never exceeds the envelope-only bound this
     /// backend used to claim.
     ///
-    /// `Fn + Sync` integrands (certificate payoffs, query values) let the
-    /// pool's moment sweep run chunked across cores, with per-chunk
-    /// gradient scratch and chunk-ordered combining — bit-for-bit the
-    /// single-threaded estimate at any thread count. The heavy lifting is
-    /// shared with published snapshots through [`SketchReadView`].
-    fn estimate_mean_par(
+    /// The heavy lifting is shared with published snapshots through
+    /// [`SketchReadView`].
+    fn estimate_mean(
         &self,
         label: &'static str,
         scale: f64,
-        f: impl Fn(usize, &[f64], &mut Vec<f64>) -> Result<f64, SketchError> + Sync,
+        f: impl FnMut(usize, &[f64]) -> Result<f64, SketchError>,
     ) -> Result<Estimate, SketchError> {
         self.ensure_usable()?;
         self.probe.span_begin(Phase::Estimate);
-        let result = self.view().estimate_mean_par(&self.ledger, label, scale, f);
+        let result = self.view().estimate_mean(&self.ledger, label, scale, f);
         self.probe.span_end(Phase::Estimate);
         let est = result?;
         if P::ENABLED {
@@ -1739,9 +1648,9 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             });
         }
         let scale = loss.scale_bound();
-        self.estimate_mean_par("certificate-mean", scale, |_slot, point, grad| {
-            grad.resize(loss.dim(), 0.0);
-            dual_certificate_at(loss, point, theta_oracle, theta_hyp, grad)
+        let mut grad = vec![0.0; loss.dim()];
+        self.estimate_mean("certificate-mean", scale, |_slot, point| {
+            dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
                 .map_err(|_| SketchError::NonFinite("certificate payoff"))
         })
     }
@@ -1757,11 +1666,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         crate::log::validate_query_shape(query, self.source.len(), self.source.dim())?;
         let (lo, hi) = query.value_bounds();
         let scale = lo.abs().max(hi.abs());
-        // Capture only the Sync pieces (not `self`, whose source and
-        // scratch cells need not be shareable across sweep workers).
-        let pool_indices = self.pool_indices.as_slice();
-        self.estimate_mean_par("query-mean", scale, move |slot, point, _grad| {
-            crate::log::query_value_at(query, pool_indices[slot], point)
+        self.estimate_mean("query-mean", scale, |slot, point| {
+            crate::log::query_value_at(query, self.pool_indices[slot], point)
         })
     }
 
@@ -1781,31 +1687,15 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 expected: self.source.dim(),
             });
         }
-        // Chunked max over the pool: payoffs are per-element and max is
-        // associative, so the chunked sweep returns exactly the sequential
-        // maximum; the first error in chunk order wins.
-        let dim = self.source.dim();
-        let flat = self.pool_points.as_flat();
-        let value = plan_fold(
-            self.plan,
-            self.pool_log_w.as_slice(),
-            |offset, chunk| {
-                let mut grad = vec![0.0; loss.dim()];
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                let mut best = f64::NEG_INFINITY;
-                for point in block.chunks_exact(dim) {
-                    let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
-                        .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
-                    best = best.max(u);
-                }
-                Ok::<f64, SketchError>(best)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x.max(y)),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        )?;
+        // Max over the pool: payoffs are per-element and max is
+        // associative, so no chunking is needed; the first error wins.
+        let mut grad = vec![0.0; loss.dim()];
+        let mut value = f64::NEG_INFINITY;
+        for point in self.pool_points.iter() {
+            let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
+                .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
+            value = value.max(u);
+        }
         let (uncovered, beta, bound) = if self.exhaustive {
             (0.0, 0.0, RadiusBound::Exact)
         } else {
@@ -1830,9 +1720,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// the cached pool log-weights — exact for `D̂_t` conditioned on the
     /// pool (exact for `D̂_t` itself when exhaustive). `O(m)`.
     pub fn sample_index(&self, rng: &mut dyn Rng) -> usize {
-        // Keys are drawn sequentially (identical rng stream to the
-        // streaming sampler); only the argmax is chunked over the plan.
-        let slot = gumbel_max_slice(&self.pool_log_w, self.plan, rng);
+        let slot = gumbel_max_index(self.pool_log_w.as_slice(), rng);
         self.pool_indices[slot]
     }
 

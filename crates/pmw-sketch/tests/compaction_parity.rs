@@ -7,7 +7,7 @@
 //!   replayed point (exhaustive pools; panel hits on sampled pools), a
 //!   compacted backend's entire read trace — estimates, radii, ledger
 //!   betas, Gumbel draws, per-point log-weights — is **bit-for-bit** the
-//!   uncompacted backend's, at 1, 2, and 8 threads alike.
+//!   uncompacted backend's, under every compaction policy.
 //! * **Lossy folds are honestly priced.** When folded rounds genuinely
 //!   drop information (panel misses; the lazy backend's panel-free
 //!   folds), the realized error never exceeds the claimed
@@ -19,7 +19,6 @@
 //!   for the latent quadratic in long-horizon serving.
 
 use pmw_core::{BackendEvent, ReadSnapshot, StateBackend};
-use pmw_data::par::with_threads;
 use pmw_data::workload::ImplicitQuery;
 use pmw_data::{BooleanCube, PointQuery, Universe};
 use pmw_dp::{compaction_fold_radius, RadiusBound};
@@ -113,7 +112,7 @@ fn read_trace(backend: &SampledBackend<UniversePoints<BooleanCube>>, seed: u64) 
 }
 
 #[test]
-fn lossless_folds_are_bit_for_bit_invisible_across_thread_counts() {
+fn lossless_folds_are_bit_for_bit_invisible() {
     // Exhaustive pool: the checkpoint panel covers the whole universe, so
     // every fold is lossless and every seeded replay is a panel hit.
     let config = |policy| SampledConfig {
@@ -121,40 +120,25 @@ fn lossless_folds_are_bit_for_bit_invisible_across_thread_counts() {
         compaction: policy,
         ..SampledConfig::default()
     };
-    let reference = with_threads(1, || {
-        let backend = drive(config(CompactionPolicy::Never), 12, 42);
-        read_trace(&backend, 9)
-    });
-    for &threads in &[1usize, 2, 8] {
-        for &policy in &[
-            CompactionPolicy::Never,
-            CompactionPolicy::EveryK(2),
-            CompactionPolicy::EveryK(5),
-            // Small enough that a few retained rounds trip it.
-            CompactionPolicy::MemoryBound(256),
-        ] {
-            let (trace, compactions) = with_threads(threads, || {
-                let mut backend = drive(config(policy), 12, 42);
-                let trace = read_trace(&backend, 9);
-                // Compaction events surface through the standard drain
-                // and render one-line summaries.
-                let events = backend.take_events();
-                for e in &events {
-                    if let BackendEvent::Compaction { folded_rounds, .. } = e {
-                        assert!(*folded_rounds >= 1);
-                        assert!(e.to_string().contains("compacted"));
-                    }
-                }
-                (trace, backend.compactions())
-            });
-            assert_eq!(
-                reference, trace,
-                "trace diverged under {policy:?} at {threads} threads"
-            );
-            if policy != CompactionPolicy::Never {
-                assert!(compactions > 0, "{policy:?} never fired");
+    let reference = read_trace(&drive(config(CompactionPolicy::Never), 12, 42), 9);
+    for &policy in &[
+        CompactionPolicy::EveryK(2),
+        CompactionPolicy::EveryK(5),
+        // Small enough that a few retained rounds trip it.
+        CompactionPolicy::MemoryBound(256),
+    ] {
+        let mut backend = drive(config(policy), 12, 42);
+        let trace = read_trace(&backend, 9);
+        // Compaction events surface through the standard drain and render
+        // one-line summaries.
+        for e in &backend.take_events() {
+            if let BackendEvent::Compaction { folded_rounds, .. } = e {
+                assert!(*folded_rounds >= 1);
+                assert!(e.to_string().contains("compacted"));
             }
         }
+        assert_eq!(reference, trace, "trace diverged under {policy:?}");
+        assert!(backend.compactions() > 0, "{policy:?} never fired");
     }
 }
 
