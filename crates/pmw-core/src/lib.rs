@@ -39,6 +39,7 @@
 
 pub mod composition_baseline;
 pub mod config;
+mod data;
 pub mod error;
 pub mod game;
 pub mod linear;
@@ -54,7 +55,7 @@ pub use config::{DerivedParams, PmwConfig, PmwConfigBuilder};
 pub use error::PmwError;
 pub use game::{run_accuracy_game, GameOutcome};
 pub use linear::{LinearPmw, Mwem, MwemResult, MwemRun};
-pub use mechanism::{screen_query, OnlinePmw, ScreenContext, ScreenedQuery};
+pub use mechanism::{OnlinePmw, ScreenContext, ScreenedQuery};
 pub use offline::{OfflineBackendResult, OfflinePmw};
 pub use state::{
     BackendEvent, DenseBackend, DenseSnapshot, MeanFn, QueryEstimate, ReadSnapshot, StateBackend,

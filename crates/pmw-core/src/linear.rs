@@ -26,128 +26,16 @@
 //! the hypothesis side sweeps a Monte-Carlo pool, both flat in `|X|`.
 
 use crate::config::PmwConfig;
+use crate::data::PrivateData;
 use crate::error::PmwError;
 use crate::state::{eval_query_on_histogram, BackendEvent, DenseBackend, StateBackend};
-use pmw_data::workload::{query_value, LinearQuery, PointQuery};
-use pmw_data::{Dataset, Histogram, PointMatrix, PointSource, Universe};
+use pmw_data::workload::{LinearQuery, PointQuery};
+use pmw_data::{Dataset, Histogram, PointSource, Universe};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
 use pmw_dp::{Accountant, ExponentialMechanism, LaplaceMechanism, SparseVector};
 use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
 use std::sync::Arc;
-
-/// The data-side representation of the true query answers `q(D)` — dense
-/// histogram on the classic path, the dataset's support rows on the
-/// sublinear path (mirrors the mechanism-side `DataSide` of
-/// [`crate::OnlinePmw`]).
-enum QueryData {
-    /// Universe-indexed: the Θ(|X|) data histogram, plus the materialized
-    /// universe points when the construction had a [`Universe`] in hand
-    /// (required to evaluate implicit queries densely).
-    Dense {
-        histogram: Histogram,
-        points: Option<PointMatrix>,
-    },
-    /// Row-indexed: only the dataset's ≤ n distinct support rows with
-    /// their empirical weights — `O(n·d)` per query evaluation,
-    /// independent of `|X|`.
-    Rows {
-        universe: usize,
-        indices: Vec<usize>,
-        points: PointMatrix,
-        weights: Vec<f64>,
-    },
-}
-
-impl QueryData {
-    fn from_source<S: PointSource + ?Sized>(
-        dataset: &Dataset,
-        source: &S,
-    ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match point source",
-            ));
-        }
-        let (indices, points, weights) = dataset.support_points_indexed(source)?;
-        Ok(QueryData::Rows {
-            universe: source.len(),
-            indices,
-            points,
-            weights,
-        })
-    }
-
-    fn universe_size(&self) -> usize {
-        match self {
-            QueryData::Dense { histogram, .. } => histogram.len(),
-            QueryData::Rows { universe, .. } => *universe,
-        }
-    }
-
-    /// The materialized universe points, when this data side holds them
-    /// (dense constructions from a [`Universe`] only).
-    fn universe_points(&self) -> Option<&PointMatrix> {
-        match self {
-            QueryData::Dense { points, .. } => points.as_ref(),
-            QueryData::Rows { .. } => None,
-        }
-    }
-
-    /// Validate that `q` is evaluable against this data side (and against
-    /// the hypothesis state, which shares the universe).
-    fn check_query(&self, q: &dyn PointQuery) -> Result<(), PmwError> {
-        if let Some(len) = q.universe_len() {
-            if len != self.universe_size() {
-                return Err(PmwError::LossMismatch("query length != universe size"));
-            }
-            return Ok(());
-        }
-        if let Some(d) = q.point_dim() {
-            return match self {
-                QueryData::Dense {
-                    points: Some(p), ..
-                }
-                | QueryData::Rows { points: p, .. } => {
-                    if p.dim() != d {
-                        Err(PmwError::LossMismatch(
-                            "query point dimension does not match universe points",
-                        ))
-                    } else {
-                        Ok(())
-                    }
-                }
-                QueryData::Dense { points: None, .. } => Err(PmwError::LossMismatch(
-                    "implicit queries need universe points; construct with a universe or point source",
-                )),
-            };
-        }
-        Err(PmwError::LossMismatch(
-            "query supports neither index nor point evaluation",
-        ))
-    }
-
-    /// The true answer `q(D)`.
-    fn evaluate(&self, q: &dyn PointQuery) -> Result<f64, PmwError> {
-        match self {
-            QueryData::Dense { histogram, points } => {
-                eval_query_on_histogram(q, histogram, points.as_ref())
-            }
-            QueryData::Rows {
-                indices,
-                points,
-                weights,
-                ..
-            } => {
-                let mut value = 0.0;
-                for ((&idx, point), &w) in indices.iter().zip(points.iter()).zip(weights) {
-                    value += w * query_value(q, idx, point)?;
-                }
-                Ok(value)
-            }
-        }
-    }
-}
 
 /// Pre-check and collect the owned query handles a retaining backend
 /// needs, **before** any privacy budget is spent — mirrors the
@@ -188,7 +76,7 @@ fn retained_handles(
 /// `|X| = 2^26` and beyond with per-answer cost flat in `|X|`.
 pub struct LinearPmw<B: StateBackend = DenseBackend> {
     state: B,
-    data: QueryData,
+    data: PrivateData,
     eta: f64,
     k: usize,
     alpha: f64,
@@ -219,17 +107,9 @@ impl LinearPmw<DenseBackend> {
         dataset: &Dataset,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: None,
-        };
+        let data = PrivateData::histogram_only(dataset);
         let state = DenseBackend::new(universe_size)?;
-        Self::build(config, universe_size, dataset.len(), data, state, rng)
+        Self::build(config, data, state, rng)
     }
 
     /// The current hypothesis histogram.
@@ -249,16 +129,8 @@ impl<B: StateBackend> LinearPmw<B> {
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: Some(universe.materialize()),
-        };
-        Self::build(config, universe.size(), dataset.len(), data, state, rng)
+        let data = PrivateData::from_universe(universe, dataset)?;
+        Self::build(config, data, state, rng)
     }
 
     /// Fully sublinear construction: universe points come from `source` on
@@ -274,31 +146,21 @@ impl<B: StateBackend> LinearPmw<B> {
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        let data = QueryData::from_source(dataset, source)?;
-        Self::build(config, source.len(), dataset.len(), data, state, rng)
+        let data = PrivateData::from_source(source, dataset, &state)?;
+        Self::build(config, data, state, rng)
     }
 
     /// Shared constructor tail. Draws exactly the sparse-vector noise from
     /// `rng` (the dense path's stream is unchanged).
     fn build(
         config: PmwConfig,
-        universe_size: usize,
-        n: usize,
-        data: QueryData,
+        data: PrivateData,
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if state.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let derived = config.derive(universe_size)?;
+        data.check_backend(&state)?;
+        let derived = config.derive(data.universe_size())?;
+        let n = data.n();
         let range = config.scale_s;
         let sv = SparseVector::new(
             SvConfig {
@@ -341,44 +203,12 @@ impl<B: StateBackend> LinearPmw<B> {
     /// Figure-3 mechanism's SV/oracle fix, regression-tested with a
     /// failing-backend stub).
     pub fn answer(&mut self, query: &dyn PointQuery, rng: &mut dyn Rng) -> Result<f64, PmwError> {
-        self.answer_with_probe(query, rng, &NoopProbe)
-    }
-
-    /// [`LinearPmw::answer`], reporting the round through `probe`: one
-    /// round span per query with [`Phase::Estimate`],
-    /// [`Phase::ErrorQuery`], [`Phase::SvScreen`] and (on `⊤` rounds)
-    /// [`Phase::Measure`]/[`Phase::Update`] sub-spans, plus margin and
-    /// budget gauges. `answer` delegates here with the [`NoopProbe`],
-    /// which compiles the instrumentation away.
-    pub fn answer_with_probe<P: Probe>(
-        &mut self,
-        query: &dyn PointQuery,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<f64, PmwError> {
         if self.halted {
             return Err(PmwError::Halted);
         }
         if self.queries_answered >= self.k {
             return Err(PmwError::QueryLimitReached);
         }
-        let round_idx = self.queries_answered;
-        probe.round_begin(round_idx);
-        let mut outcome_label: &'static str = "error";
-        let result = self.answer_round(query, rng, probe, &mut outcome_label);
-        probe.round_end(round_idx, outcome_label);
-        result
-    }
-
-    /// The body of one answered round; `outcome_label` reports how the
-    /// round ended to the probe.
-    fn answer_round<P: Probe>(
-        &mut self,
-        query: &dyn PointQuery,
-        rng: &mut dyn Rng,
-        probe: &P,
-        outcome_label: &mut &'static str,
-    ) -> Result<f64, PmwError> {
         self.data.check_query(query)?;
         // Retaining backends need an owned query handle; obtain it before
         // any sparse-vector round or budget is consumed on an update that
@@ -387,14 +217,10 @@ impl<B: StateBackend> LinearPmw<B> {
             Some(mut handles) => handles.pop(),
             None => None,
         };
-        probe.span_begin(Phase::Estimate);
         let est = self
             .state
             .expected_query_value(query, self.data.universe_points(), rng)?;
-        probe.span_end(Phase::Estimate);
-        probe.span_begin(Phase::ErrorQuery);
         let truth = self.data.evaluate(query)?;
-        probe.span_end(Phase::ErrorQuery);
         let err = (est.value - truth).abs();
         // Radius-aware SV margin: on a sketching backend `est` carries a
         // claimed concentration radius, and a ⊥ must certify that the
@@ -408,28 +234,19 @@ impl<B: StateBackend> LinearPmw<B> {
                 "backend claimed a non-finite or negative estimate radius",
             ));
         }
-        if P::ENABLED {
-            probe.gauge(Gauge::ClaimedRadius, est.radius);
-            probe.gauge(Gauge::SvMargin, err + est.radius);
-        }
-        probe.span_begin(Phase::SvScreen);
         let outcome = match self.sv.process(err + est.radius, rng) {
             Ok(o) => o,
             Err(pmw_dp::DpError::SparseVectorHalted) => {
                 self.halted = true;
-                *outcome_label = "halted";
                 return Err(PmwError::Halted);
             }
             Err(e) => return Err(e.into()),
         };
-        probe.span_end(Phase::SvScreen);
         let answer = match outcome {
             SvOutcome::Bottom => {
                 // A prior failed round may have queued rollback events:
                 // drain on free answers too.
                 self.backend_events.extend(self.state.take_events());
-                probe.counter(Counter::FreeAnswers, 1);
-                *outcome_label = "free";
                 est.value
             }
             SvOutcome::Top => {
@@ -437,35 +254,26 @@ impl<B: StateBackend> LinearPmw<B> {
                 // the SV top is already consumed, and a failing release
                 // may already have leaked its noise.
                 self.accountant.spend("laplace", self.laplace.budget());
-                if P::ENABLED {
-                    if let Ok(total) = self.accountant.basic_total() {
-                        probe.gauge(Gauge::EpsSpent, total.epsilon());
-                        probe.gauge(Gauge::DeltaSpent, total.delta());
-                    }
-                }
-                probe.span_begin(Phase::Measure);
-                let released = self.laplace.release(truth, rng).map_err(PmwError::from);
-                probe.span_end(Phase::Measure);
-                let applied = released.and_then(|measured| {
-                    // Update direction: if the hypothesis overestimates,
-                    // penalize elements where q(x) is large
-                    // (exp(-eta*q)); otherwise boost.
-                    let coeff = if est.value > measured { 1.0 } else { -1.0 };
-                    probe.span_begin(Phase::Update);
-                    let updated = self
-                        .state
-                        .apply_query_update(
-                            query,
-                            retained,
-                            coeff,
-                            self.eta,
-                            self.data.universe_points(),
-                            rng,
-                        )
-                        .map(|()| measured);
-                    probe.span_end(Phase::Update);
-                    updated
-                });
+                let applied = self
+                    .laplace
+                    .release(truth, rng)
+                    .map_err(PmwError::from)
+                    .and_then(|measured| {
+                        // Update direction: if the hypothesis overestimates,
+                        // penalize elements where q(x) is large
+                        // (exp(-eta*q)); otherwise boost.
+                        let coeff = if est.value > measured { 1.0 } else { -1.0 };
+                        self.state
+                            .apply_query_update(
+                                query,
+                                retained,
+                                coeff,
+                                self.eta,
+                                self.data.universe_points(),
+                                rng,
+                            )
+                            .map(|()| measured)
+                    });
                 // The top is spent whatever happened above: burn the round
                 // and mirror SV's halt so the counters stay in sync.
                 self.updates_used += 1;
@@ -478,14 +286,8 @@ impl<B: StateBackend> LinearPmw<B> {
                 // close them with a `RoundRolledBack` marker.
                 self.backend_events.extend(self.state.take_events());
                 match applied {
-                    Ok(measured) => {
-                        probe.counter(Counter::UpdateRounds, 1);
-                        *outcome_label = "update";
-                        measured
-                    }
+                    Ok(measured) => measured,
                     Err(e) => {
-                        probe.counter(Counter::FailedRounds, 1);
-                        *outcome_label = "failed";
                         self.queries_answered += 1;
                         return Err(e);
                     }
@@ -611,27 +413,9 @@ impl Mwem {
         epsilon: f64,
         rng: &mut dyn Rng,
     ) -> Result<MwemResult, PmwError> {
-        self.run_probed(queries, dataset, epsilon, rng, &NoopProbe)
-    }
-
-    /// [`Mwem::run`], reporting each round through `probe` (see
-    /// [`Mwem::run_with_backend_probed`] for the emitted signals).
-    pub fn run_probed<P: Probe>(
-        &self,
-        queries: &[LinearQuery],
-        dataset: &Dataset,
-        epsilon: f64,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<MwemResult, PmwError> {
-        let m = dataset.universe_size();
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: None,
-        };
-        let state = DenseBackend::new(m)?;
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        let run = self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)?;
+        let data = PrivateData::histogram_only(dataset);
+        let state = DenseBackend::new(data.universe_size())?;
+        let run = self.engine(queries, &data, epsilon, state, rng, &NoopProbe)?;
         Ok(MwemResult {
             histogram: run
                 .averaged
@@ -654,39 +438,8 @@ impl Mwem {
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<MwemRun<B>, PmwError> {
-        self.run_with_backend_probed(queries, universe, dataset, epsilon, state, rng, &NoopProbe)
-    }
-
-    /// [`Mwem::run_with_backend`], reporting each round through `probe`:
-    /// [`Phase::Select`] (exponential mechanism), [`Phase::Measure`]
-    /// (Laplace release), [`Phase::Update`] (MW step) and
-    /// [`Phase::Estimate`] (the post-update score recompute) sub-spans per
-    /// round, the selection-widening radius gauge, and the running ε/δ
-    /// spend. The unprobed entry points delegate here with the
-    /// [`NoopProbe`], which compiles the instrumentation away — dense
-    /// selections and rng streams stay bit-for-bit unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_backend_probed<U: Universe, Q: PointQuery, B: StateBackend, P: Probe>(
-        &self,
-        queries: &[Q],
-        universe: &U,
-        dataset: &Dataset,
-        epsilon: f64,
-        state: B,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<MwemRun<B>, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: Some(universe.materialize()),
-        };
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)
+        let data = PrivateData::from_universe(universe, dataset)?;
+        self.engine(queries, &data, epsilon, state, rng, &NoopProbe)
     }
 
     /// Fully sublinear MWEM — the *Fast-MWEM* construction: implicit
@@ -707,8 +460,14 @@ impl Mwem {
         self.run_with_source_probed(queries, source, dataset, epsilon, state, rng, &NoopProbe)
     }
 
-    /// [`Mwem::run_with_source`], reporting each round through `probe`
-    /// (see [`Mwem::run_with_backend_probed`] for the emitted signals).
+    /// [`Mwem::run_with_source`], reporting each round through `probe`:
+    /// [`Phase::Select`] (exponential mechanism), [`Phase::Measure`]
+    /// (Laplace release), [`Phase::Update`] (MW step) and
+    /// [`Phase::Estimate`] (the post-update score recompute) sub-spans per
+    /// round, the selection-widening radius gauge, and the running ε/δ
+    /// spend. The unprobed entry points run the same engine with the
+    /// [`NoopProbe`], which compiles the instrumentation away — dense
+    /// selections and rng streams stay bit-for-bit unchanged.
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_source_probed<
         S: PointSource + ?Sized,
@@ -725,26 +484,18 @@ impl Mwem {
         rng: &mut dyn Rng,
         probe: &P,
     ) -> Result<MwemRun<B>, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        let data = QueryData::from_source(dataset, source)?;
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)
+        let data = PrivateData::from_source(source, dataset, &state)?;
+        self.engine(queries, &data, epsilon, state, rng, probe)
     }
 
     /// The shared MWEM engine. On `DenseBackend` this consumes the same
     /// rng stream as the classic implementation (`T × (k` Gumbel draws `+
     /// 1` Laplace draw`)`) and evaluates the same inner products, so dense
     /// selections are preserved.
-    #[allow(clippy::too_many_arguments)]
-    fn engine<B: StateBackend, P: Probe>(
+    fn engine<Q: PointQuery, B: StateBackend, P: Probe>(
         &self,
-        queries: &[&dyn PointQuery],
-        data: &QueryData,
-        n: usize,
+        queries: &[Q],
+        data: &PrivateData,
         epsilon: f64,
         mut state: B,
         rng: &mut dyn Rng,
@@ -756,19 +507,16 @@ impl Mwem {
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(PmwError::InvalidConfig("epsilon must be positive"));
         }
-        if state.universe_size() != data.universe_size() {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        for q in queries {
+        data.check_backend(&state)?;
+        let queries: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
+        for q in &queries {
             data.check_query(*q)?;
         }
         // Retention pre-check before any privacy spend.
-        let shared = retained_handles(queries, &state)?;
+        let shared = retained_handles(&queries, &state)?;
 
         let per_round = epsilon / (2.0 * self.rounds as f64);
-        let sensitivity = self.range / n as f64;
+        let sensitivity = self.range / data.n() as f64;
         let lap = LaplaceMechanism::new(sensitivity, per_round)?;
         let points = data.universe_points();
 
@@ -917,8 +665,7 @@ impl Mwem {
 mod tests {
     use super::*;
     use pmw_data::workload::{random_counting_queries, ImplicitQuery};
-    use pmw_data::BooleanCube;
-    use pmw_data::Universe;
+    use pmw_data::{BooleanCube, PointMatrix, Universe, UniversePoints};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -994,6 +741,18 @@ mod tests {
         assert!(matches!(
             mech.answer(&implicit, &mut rng),
             Err(PmwError::LossMismatch(_))
+        ));
+        // The point-source constructor refuses a backend that sweeps a
+        // materialized universe.
+        assert!(matches!(
+            LinearPmw::with_point_source(
+                linear_config(4, 2, 0.3),
+                &UniversePoints(cube),
+                &data,
+                DenseBackend::new(8).unwrap(),
+                &mut rng,
+            ),
+            Err(PmwError::InvalidConfig(_))
         ));
     }
 
@@ -1362,6 +1121,32 @@ mod tests {
             .run(std::slice::from_ref(&q8), &data, 0.0, &mut rng)
             .is_err());
         assert!(mwem.run(&[q8], &data, 1.0, &mut rng).is_ok());
+        let implicit = [ImplicitQuery::marginal(vec![0], 3).unwrap()];
+        let wrong = Dataset::from_indices(9, vec![0]).unwrap();
+        assert!(matches!(
+            mwem.run_with_backend(
+                &implicit,
+                &cube,
+                &wrong,
+                1.0,
+                DenseBackend::new(8).unwrap(),
+                &mut rng,
+            ),
+            Err(PmwError::LossMismatch(_))
+        ));
+        // The point-source run refuses a backend that sweeps a
+        // materialized universe.
+        assert!(matches!(
+            mwem.run_with_source(
+                &implicit,
+                &UniversePoints(cube),
+                &data,
+                1.0,
+                DenseBackend::new(8).unwrap(),
+                &mut rng,
+            ),
+            Err(PmwError::InvalidConfig(_))
+        ));
     }
 
     #[test]

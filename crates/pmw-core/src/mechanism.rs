@@ -23,6 +23,7 @@
 //! provided `n ≥ max{n', Õ(S²√(log|X|)·log k/(εα²))}`.
 
 use crate::config::{DerivedParams, PmwConfig};
+use crate::data::PrivateData;
 use crate::error::PmwError;
 use crate::state::{DenseBackend, ReadSnapshot, StateBackend};
 use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
@@ -37,57 +38,10 @@ use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
 use std::sync::Arc;
 
-/// The data-side representation of the error query `err_ℓ(D, D̂_t)`: the
-/// weighted point set every data-touching step (the `θ*` solve, the
-/// objective evaluations, the ERM oracle, the diagnostics gap) sweeps.
-enum DataSide {
-    /// Universe-indexed: the materialized `PointMatrix` plus the Θ(|X|)
-    /// data histogram — the original dense path, bit-for-bit.
-    Dense {
-        points: PointMatrix,
-        histogram: Histogram,
-    },
-    /// Row-indexed: only the dataset's ≤ n distinct support rows with
-    /// their empirical weights — `O(n·d)` per sweep, independent of `|X|`.
-    Rows {
-        points: PointMatrix,
-        weights: Vec<f64>,
-    },
-}
-
-impl DataSide {
-    fn points(&self) -> &PointMatrix {
-        match self {
-            DataSide::Dense { points, .. } | DataSide::Rows { points, .. } => points,
-        }
-    }
-
-    fn weights(&self) -> &[f64] {
-        match self {
-            DataSide::Dense { histogram, .. } => histogram.weights(),
-            DataSide::Rows { weights, .. } => weights,
-        }
-    }
-
-    fn histogram(&self) -> Option<&Histogram> {
-        match self {
-            DataSide::Dense { histogram, .. } => Some(histogram),
-            DataSide::Rows { .. } => None,
-        }
-    }
-
-    fn universe_points(&self) -> Option<&PointMatrix> {
-        match self {
-            DataSide::Dense { points, .. } => Some(points),
-            DataSide::Rows { .. } => None,
-        }
-    }
-}
-
 /// The result of the pure read phase of one round: everything the
 /// sparse-vector screen and the (serialized) commit phase need, computed
 /// against an immutable [`ReadSnapshot`] with **no RNG draws and no state
-/// mutation**. Produced by [`screen_query`] / [`OnlinePmw::screen`];
+/// mutation**. Produced by [`ScreenContext::screen`];
 /// consumed by [`OnlinePmw::commit_top`] (or answered directly on `⊥`).
 #[derive(Debug, Clone)]
 pub struct ScreenedQuery {
@@ -128,100 +82,75 @@ impl ScreenedQuery {
     }
 }
 
-/// The pure read phase of one Figure-3 round, runnable by any thread
-/// holding a published snapshot: solve `θ̂` against the frozen hypothesis,
-/// evaluate the error query `err_ℓ(D, D̂)` over the data-side rows, and
-/// collect the backend's read margin. Consumes no RNG and mutates nothing
-/// (sketched snapshots ledger their concentration claims through their
-/// shared sampling ledger, exactly like the live backend's reads).
-pub fn screen_query<P: Probe>(
-    snapshot: &dyn ReadSnapshot,
-    loss: &dyn CmLoss,
-    points: &PointMatrix,
-    weights: &[f64],
-    solver_iters: usize,
-    scale_s: f64,
-    probe: &P,
-) -> Result<ScreenedQuery, PmwError> {
-    if loss.point_dim() != points.dim() {
-        return Err(PmwError::LossMismatch(
-            "loss point dimension does not match universe",
-        ));
-    }
-    // (1) Hypothesis minimizer theta-hat, against the frozen state.
-    probe.span_begin(Phase::HypothesisSolve);
-    let theta_hat = snapshot.hypothesis_minimizer(loss, points, solver_iters)?;
-    probe.span_end(Phase::HypothesisSolve);
-
-    // (2) The error query q_j(D) = err_l(D, D-hat_t), evaluated over
-    // the data-side point set: the universe histogram on the dense
-    // path, the dataset's support rows (O(n·d)) on the row path.
-    probe.span_begin(Phase::ErrorQuery);
-    let data_obj = WeightedObjective::new(loss, points, weights)?;
-    let theta_star = minimize_weighted(loss, points, weights, solver_iters)?;
-    let query_value = (data_obj.value(&theta_hat) - data_obj.value(&theta_star)).max(0.0);
-    probe.span_end(Phase::ErrorQuery);
-
-    // On sketched state the SV margin is widened by the backend's claimed
-    // read radius: θ̂ was solved against an *estimated* hypothesis, so a
-    // ⊥ must certify the error query below α even after discounting the
-    // sketch's read uncertainty. Exact backends claim radius 0.
-    let read_margin = snapshot.read_radius(scale_s);
-    // A corrupted margin (NaN/∞/negative) would silently poison the
-    // sparse-vector comparison; refuse loudly before any budget or
-    // noise draw is consumed, leaving the round un-burned.
-    if !read_margin.is_finite() || read_margin < 0.0 {
-        return Err(PmwError::Degraded(
-            "backend claimed a non-finite or negative read margin",
-        ));
-    }
-    Ok(ScreenedQuery {
-        theta_hat,
-        query_value,
-        read_margin,
-        snapshot_updates: snapshot.updates_recorded(),
-    })
-}
-
-/// An owned, `Send + Sync` copy of everything [`screen_query`] needs
-/// besides the snapshot and the loss — the per-analyst handle state of a
-/// serving layer. Obtained once from [`OnlinePmw::screen_context`]; the
-/// data-side rows are shared behind `Arc`s, so cloning a context is O(1).
+/// Everything the pure read phase of a round needs besides the snapshot
+/// and the loss: the mechanism's data side, the solver and scale
+/// parameters, and the sparse-vector configuration. Every context —
+/// [`OnlinePmw`]'s own and each one handed out by
+/// [`OnlinePmw::screen_context`] — shares the mechanism's data-side rows
+/// behind one `Arc`, so cloning a context is O(1) and copies no row.
 #[derive(Clone)]
 pub struct ScreenContext {
-    points: Arc<PointMatrix>,
-    weights: Arc<Vec<f64>>,
+    data: Arc<PrivateData>,
     solver_iters: usize,
     scale_s: f64,
     sv_config: SvConfig,
 }
 
 impl ScreenContext {
-    /// Screen `loss` against `snapshot` — the pure read phase.
-    pub fn screen(
-        &self,
-        snapshot: &dyn ReadSnapshot,
-        loss: &dyn CmLoss,
-    ) -> Result<ScreenedQuery, PmwError> {
-        self.screen_with_probe(snapshot, loss, &NoopProbe)
-    }
-
-    /// [`ScreenContext::screen`] with phase spans reported through `probe`.
-    pub fn screen_with_probe<P: Probe>(
+    /// The pure read phase of one Figure-3 round against `snapshot`,
+    /// runnable by any thread: solve `θ̂` against the frozen hypothesis,
+    /// evaluate the error query `err_ℓ(D, D̂)` over the data-side rows,
+    /// and collect the backend's read margin, reporting the
+    /// [`Phase::HypothesisSolve`] and [`Phase::ErrorQuery`] spans through
+    /// `probe`. Consumes no RNG and mutates nothing (sketched snapshots
+    /// ledger their concentration claims through their shared sampling
+    /// ledger, exactly like the live backend's reads).
+    pub fn screen<P: Probe>(
         &self,
         snapshot: &dyn ReadSnapshot,
         loss: &dyn CmLoss,
         probe: &P,
     ) -> Result<ScreenedQuery, PmwError> {
-        screen_query(
-            snapshot,
-            loss,
-            &self.points,
-            &self.weights,
-            self.solver_iters,
-            self.scale_s,
-            probe,
-        )
+        let points = self.data.points();
+        let weights = self.data.weights();
+        if loss.point_dim() != points.dim() {
+            return Err(PmwError::LossMismatch(
+                "loss point dimension does not match universe",
+            ));
+        }
+        // (1) Hypothesis minimizer theta-hat, against the frozen state.
+        probe.span_begin(Phase::HypothesisSolve);
+        let theta_hat = snapshot.hypothesis_minimizer(loss, points, self.solver_iters)?;
+        probe.span_end(Phase::HypothesisSolve);
+
+        // (2) The error query q_j(D) = err_l(D, D-hat_t), evaluated over
+        // the data-side point set: the universe histogram on the dense
+        // path, the dataset's support rows (O(n·d)) on the row path.
+        probe.span_begin(Phase::ErrorQuery);
+        let data_obj = WeightedObjective::new(loss, points, weights)?;
+        let theta_star = minimize_weighted(loss, points, weights, self.solver_iters)?;
+        let query_value = (data_obj.value(&theta_hat) - data_obj.value(&theta_star)).max(0.0);
+        probe.span_end(Phase::ErrorQuery);
+
+        // On sketched state the SV margin is widened by the backend's claimed
+        // read radius: θ̂ was solved against an *estimated* hypothesis, so a
+        // ⊥ must certify the error query below α even after discounting the
+        // sketch's read uncertainty. Exact backends claim radius 0.
+        let read_margin = snapshot.read_radius(self.scale_s);
+        // A corrupted margin (NaN/∞/negative) would silently poison the
+        // sparse-vector comparison; refuse loudly before any budget or
+        // noise draw is consumed, leaving the round un-burned.
+        if !read_margin.is_finite() || read_margin < 0.0 {
+            return Err(PmwError::Degraded(
+                "backend claimed a non-finite or negative read margin",
+            ));
+        }
+        Ok(ScreenedQuery {
+            theta_hat,
+            query_value,
+            read_margin,
+            snapshot_updates: snapshot.updates_recorded(),
+        })
     }
 
     /// The sparse-vector configuration the mechanism screens with — a
@@ -259,9 +188,10 @@ pub struct OnlinePmw<O: ErmOracle = OracleChoice, B: StateBackend = DenseBackend
     config: PmwConfig,
     derived: DerivedParams,
     oracle: O,
-    data: DataSide,
+    /// The data side and screen parameters, shared with every
+    /// [`OnlinePmw::screen_context`].
+    screen: ScreenContext,
     state: B,
-    n: usize,
     sv: SparseVector,
     update_round: usize,
     queries_answered: usize,
@@ -318,24 +248,8 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = DataSide::Dense {
-            points: universe.materialize(),
-            histogram: dataset.histogram(),
-        };
-        Self::build(
-            config,
-            universe.size(),
-            dataset.len(),
-            data,
-            oracle,
-            state,
-            rng,
-        )
+        let data = PrivateData::from_universe(universe, &dataset)?;
+        Self::build(config, data, oracle, state, rng)
     }
 
     /// Fully sublinear construction: universe points come from `source`
@@ -359,51 +273,25 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        if dataset.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match point source",
-            ));
-        }
-        let (points, weights) = dataset.support_points(source)?;
-        let data = DataSide::Rows { points, weights };
-        Self::build(
-            config,
-            source.len(),
-            dataset.len(),
-            data,
-            oracle,
-            state,
-            rng,
-        )
+        let data = PrivateData::from_source(source, dataset, &state)?;
+        Self::build(config, data, oracle, state, rng)
     }
 
-    /// Shared tail of both constructors; `universe_size` is `|X|` however
-    /// the universe is represented. Draws exactly the sparse-vector noise
-    /// from `rng` (the dense path's stream is unchanged).
+    /// Shared tail of both constructors. Draws exactly the sparse-vector
+    /// noise from `rng` (the dense path's stream is unchanged).
     fn build(
         config: PmwConfig,
-        universe_size: usize,
-        n: usize,
-        data: DataSide,
+        data: PrivateData,
         oracle: O,
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if state.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let derived = config.derive(universe_size)?;
+        data.check_backend(&state)?;
+        let derived = config.derive(data.universe_size())?;
         let sv_config = SvConfig {
             max_top: derived.rounds,
             threshold: config.alpha,
-            sensitivity: 3.0 * config.scale_s / n as f64,
+            sensitivity: 3.0 * config.scale_s / data.n() as f64,
             budget: derived.sv_budget,
             composition: config.sv_composition,
         };
@@ -411,12 +299,16 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         let mut accountant = Accountant::new();
         accountant.spend("sparse-vector", derived.sv_budget);
         Ok(Self {
-            data,
+            screen: ScreenContext {
+                data: Arc::new(data),
+                solver_iters: config.solver_iters,
+                scale_s: config.scale_s,
+                sv_config,
+            },
             state,
             config,
             derived,
             oracle,
-            n,
             sv,
             update_round: 0,
             queries_answered: 0,
@@ -471,28 +363,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         probe: &P,
         outcome_label: &mut &'static str,
     ) -> Result<Vec<f64>, PmwError> {
-        if loss.point_dim() != self.data.points().dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match universe",
-            ));
-        }
-        // Backends that retain losses (lazy update logs) need an owned
-        // handle; obtain it up front, before any privacy budget or sparse
-        // vector round is consumed on an update that could never be
-        // recorded. The clone is kept and handed to `apply_update`, so
-        // retention-requiring backends pay exactly one clone per round.
-        let retained = if self.state.requires_shared_loss() {
-            match loss.clone_shared() {
-                Some(shared) => Some(shared),
-                None => {
-                    return Err(PmwError::LossMismatch(
-                        "this state backend requires a loss supporting clone_shared",
-                    ))
-                }
-            }
-        } else {
-            None
-        };
+        let retained = self.retained_loss(loss)?;
 
         // Read phase: publish a snapshot of the current state and screen
         // against it — the same seam a concurrent serving layer uses, so
@@ -501,15 +372,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         // round, and consume no RNG, so the rng stream and every outcome
         // are bit-for-bit the pre-split mechanism's.
         let snapshot = self.state.snapshot()?;
-        let screened = screen_query(
-            snapshot.as_ref(),
-            loss,
-            self.data.points(),
-            self.data.weights(),
-            self.config.solver_iters,
-            self.config.scale_s,
-            probe,
-        )?;
+        let screened = self.screen.screen(snapshot.as_ref(), loss, probe)?;
         drop(snapshot);
 
         // Screen through the sparse vector algorithm — the first (and on
@@ -561,6 +424,26 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         }
     }
 
+    /// Check `loss` against the data side and, for backends that retain
+    /// losses (lazy update logs), obtain the owned handle — both before
+    /// any privacy budget or sparse-vector round is consumed on an update
+    /// that could never be recorded. The clone is handed to
+    /// `apply_update`, so retention-requiring backends pay exactly one
+    /// clone per round.
+    fn retained_loss(&self, loss: &dyn CmLoss) -> Result<Option<Arc<dyn CmLoss>>, PmwError> {
+        if loss.point_dim() != self.screen.data.points().dim() {
+            return Err(PmwError::LossMismatch(
+                "loss point dimension does not match universe",
+            ));
+        }
+        if !self.state.requires_shared_loss() {
+            return Ok(None);
+        }
+        loss.clone_shared().map(Some).ok_or(PmwError::LossMismatch(
+            "this state backend requires a loss supporting clone_shared",
+        ))
+    }
+
     /// The serialized write phase of an above-threshold round: private
     /// oracle answer + dual-certificate MW update + all round
     /// bookkeeping. Shared by the in-process `⊤` branch of
@@ -576,6 +459,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         outcome_label: &mut &'static str,
     ) -> Result<Vec<f64>, PmwError> {
         let diagnostics = self.config.diagnostics;
+        let data = &*self.screen.data;
         // The sparse vector consumed its top *before* this phase runs,
         // so from here the round is burned no matter how the oracle or
         // the update fares: every exit path below must advance
@@ -603,9 +487,9 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
                 .oracle
                 .solve(
                     loss,
-                    self.data.points(),
-                    self.data.weights(),
-                    self.n,
+                    data.points(),
+                    data.weights(),
+                    data.n(),
                     self.derived.oracle_budget,
                     rng,
                 )
@@ -629,7 +513,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         let applied = match solved {
             Ok(theta_t) => {
                 let gap_weights = if diagnostics {
-                    Some(self.data.weights())
+                    Some(data.weights())
                 } else {
                     None
                 };
@@ -637,7 +521,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
                     .apply_update(
                         loss,
                         retained,
-                        self.data.points(),
+                        data.points(),
                         &theta_t,
                         &screened.theta_hat,
                         self.derived.eta,
@@ -712,42 +596,12 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         self.state.snapshot()
     }
 
-    /// The pure read phase of one round against `snapshot`: no RNG, no
-    /// state change, safe from any thread. See [`screen_query`].
-    pub fn screen(
-        &self,
-        snapshot: &dyn ReadSnapshot,
-        loss: &dyn CmLoss,
-    ) -> Result<ScreenedQuery, PmwError> {
-        screen_query(
-            snapshot,
-            loss,
-            self.data.points(),
-            self.data.weights(),
-            self.config.solver_iters,
-            self.config.scale_s,
-            &NoopProbe,
-        )
-    }
-
-    /// An owned, thread-shareable copy of the screen-phase inputs (data
-    /// rows + weights behind `Arc`s, solver/scale/SV parameters) — what a
-    /// serving layer hands each analyst so screens run without borrowing
-    /// the mechanism.
+    /// The screen-phase inputs (the data side, solver/scale/SV
+    /// parameters) as an owned, `Send + Sync` handle — what a serving
+    /// layer hands each analyst so screens run without borrowing the
+    /// mechanism. O(1): the context shares the mechanism's data side.
     pub fn screen_context(&self) -> ScreenContext {
-        ScreenContext {
-            points: Arc::new(self.data.points().clone()),
-            weights: Arc::new(self.data.weights().to_vec()),
-            solver_iters: self.config.solver_iters,
-            scale_s: self.config.scale_s,
-            sv_config: SvConfig {
-                max_top: self.derived.rounds,
-                threshold: self.config.alpha,
-                sensitivity: 3.0 * self.config.scale_s / self.n as f64,
-                budget: self.derived.sv_budget,
-                composition: self.config.sv_composition,
-            },
-        }
+        self.screen.clone()
     }
 
     /// Commit an above-threshold screened query: the serialized write
@@ -779,23 +633,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         if self.queries_answered >= self.config.k {
             return Err(PmwError::QueryLimitReached);
         }
-        if loss.point_dim() != self.data.points().dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match universe",
-            ));
-        }
-        let retained = if self.state.requires_shared_loss() {
-            match loss.clone_shared() {
-                Some(shared) => Some(shared),
-                None => {
-                    return Err(PmwError::LossMismatch(
-                        "this state backend requires a loss supporting clone_shared",
-                    ))
-                }
-            }
-        } else {
-            None
-        };
+        let retained = self.retained_loss(loss)?;
         let mut label: &'static str = "error";
         self.commit_top_inner(loss, retained, screened, rng, probe, &mut label)
     }
@@ -830,7 +668,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// mechanism holds them — dense constructions only. Point-source
     /// constructions never materialize the universe and return `None`.
     pub fn universe_points(&self) -> Option<&PointMatrix> {
-        self.data.universe_points()
+        self.screen.data.universe_points()
     }
 
     /// The **raw private** Θ(|X|) data histogram, when the mechanism holds
@@ -839,7 +677,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// measuring true excess risk in the accuracy game) only — never
     /// release anything derived from it without going through a mechanism.
     pub fn data_histogram(&self) -> Option<&Histogram> {
-        self.data.histogram()
+        self.screen.data.histogram()
     }
 
     /// The **raw private** data-side point set: the universe matrix with
@@ -849,12 +687,12 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// exactly on either path. Curator-side diagnostics only — same
     /// warning as [`OnlinePmw::data_histogram`].
     pub fn data_points(&self) -> &PointMatrix {
-        self.data.points()
+        self.screen.data.points()
     }
 
     /// The weights paired with [`OnlinePmw::data_points`] (they sum to 1).
     pub fn data_weights(&self) -> &[f64] {
-        self.data.weights()
+        self.screen.data.weights()
     }
 
     /// The configuration.
@@ -1589,6 +1427,18 @@ mod tests {
             ),
             Err(PmwError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn screen_contexts_share_the_mechanism_data_side() {
+        let mut rng = StdRng::seed_from_u64(138);
+        let cube = BooleanCube::new(3).unwrap();
+        let data = skewed_dataset(&cube, 100, &mut rng);
+        let mech = OnlinePmw::new(config(4, 2, 0.3), &cube, data, &mut rng).unwrap();
+        let ctx = mech.screen_context();
+        assert!(Arc::ptr_eq(&ctx.data, &mech.screen.data));
+        assert_eq!(Arc::strong_count(&mech.screen.data), 2);
+        assert!(std::ptr::eq(ctx.data.points(), mech.data_points()));
     }
 
     #[test]

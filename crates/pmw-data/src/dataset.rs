@@ -169,7 +169,7 @@ impl Dataset {
 
     /// [`Dataset::support_points`] keeping the support's universe indices
     /// too — for consumers that evaluate **universe-indexed** queries over
-    /// the support rows (the linear-query mechanisms' row-based data side).
+    /// the support rows (the mechanisms' row-based data side).
     pub fn support_points_indexed<S: PointSource + ?Sized>(
         &self,
         source: &S,

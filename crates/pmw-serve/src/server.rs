@@ -104,7 +104,7 @@ impl AnalystHandle {
         if self.cell.epoch() != self.cached.0 {
             self.cached = self.cell.load();
         }
-        let screened = self.ctx.screen(self.cached.1.as_ref(), loss)?;
+        let screened = self.ctx.screen(self.cached.1.as_ref(), loss, &NoopProbe)?;
         let (reply_tx, reply_rx) = mpsc::channel();
         self.tx
             .send(Request {
@@ -225,6 +225,7 @@ where
         let writer = std::thread::spawn(move || {
             Writer {
                 mech,
+                ctx,
                 sv,
                 rng,
                 cell: writer_cell,
@@ -268,6 +269,8 @@ where
 /// sparse vector, and the RNG.
 struct Writer<O: ErmOracle, B: StateBackend, P: Probe> {
     mech: OnlinePmw<O, B>,
+    /// The mechanism's screen context, for writer-side re-screens.
+    ctx: ScreenContext,
     sv: SparseVector,
     rng: StdRng,
     cell: Arc<SnapshotCell>,
@@ -360,10 +363,10 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                     fresh.push(req);
                     continue;
                 }
-                let rescreened = self
-                    .mech
-                    .snapshot()
-                    .and_then(|snap| self.mech.screen(snap.as_ref(), req.loss.as_ref()));
+                let rescreened = self.mech.snapshot().and_then(|snap| {
+                    self.ctx
+                        .screen(snap.as_ref(), req.loss.as_ref(), &NoopProbe)
+                });
                 match rescreened {
                     Ok(screened) => {
                         req.screened = screened;

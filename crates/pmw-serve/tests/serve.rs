@@ -6,6 +6,7 @@ use pmw_data::{BooleanCube, Dataset, Universe};
 use pmw_dp::PrivacyBudget;
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
+use pmw_obs::NoopProbe;
 use pmw_serve::{PmwServer, ServeConfig, ServeOutcome};
 use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
@@ -165,7 +166,7 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
         // claims in the β ledger) before the writer's halted check.
         let step = base
             .snapshot()
-            .and_then(|snap| base.screen(snap.as_ref(), loss as &dyn CmLoss));
+            .and_then(|snap| ctx.screen(snap.as_ref(), loss as &dyn CmLoss, &NoopProbe));
         let screened = match step {
             Ok(s) => s,
             Err(e) => {

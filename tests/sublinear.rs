@@ -212,6 +212,58 @@ fn offline_point_source_parity_with_dense_at_small_universe() {
         off.run_with_source(&refs, &source, &data, &mut dense_state, &mut rng_b),
         Err(PmwError::InvalidConfig(_))
     ));
+    assert!(matches!(
+        OnlinePmw::with_point_source(
+            cfg(),
+            &source,
+            &data,
+            pmw::erm::ExactOracle::default(),
+            pmw::core::DenseBackend::new(16).unwrap(),
+            &mut rng_b,
+        ),
+        Err(PmwError::InvalidConfig(_))
+    ));
+
+    // Every point-source entry refuses a dataset over another universe.
+    let wrong = Dataset::from_indices(32, vec![0, 1]).unwrap();
+    let sampled = |rng: &mut StdRng| {
+        let config = SampledConfig {
+            budget: usize::MAX,
+            ..SampledConfig::default()
+        };
+        SampledBackend::new(source.clone(), config, rng).unwrap()
+    };
+    assert!(matches!(
+        OnlinePmw::with_point_source(
+            cfg(),
+            &source,
+            &wrong,
+            pmw::erm::ExactOracle::default(),
+            sampled(&mut rng_b),
+            &mut rng_b,
+        ),
+        Err(PmwError::LossMismatch(_))
+    ));
+    assert!(matches!(
+        off.run_with_source(&refs, &source, &wrong, &mut sampled(&mut rng_b), &mut rng_b),
+        Err(PmwError::LossMismatch(_))
+    ));
+    assert!(matches!(
+        LinearPmw::with_point_source(cfg(), &source, &wrong, sampled(&mut rng_b), &mut rng_b),
+        Err(PmwError::LossMismatch(_))
+    ));
+    let marginal = [pmw::data::ImplicitQuery::marginal(vec![0], 4).unwrap()];
+    assert!(matches!(
+        Mwem::new(2, 1.0).unwrap().run_with_source(
+            &marginal,
+            &source,
+            &wrong,
+            1.0,
+            sampled(&mut rng_b),
+            &mut rng_b,
+        ),
+        Err(PmwError::LossMismatch(_))
+    ));
 }
 
 /// The accuracy game runs unchanged on the point-source mechanism: true
