@@ -28,7 +28,10 @@
 use crate::config::PmwConfig;
 use crate::data::PrivateData;
 use crate::error::PmwError;
-use crate::state::{eval_query_on_histogram, BackendEvent, DenseBackend, StateBackend};
+use crate::state::{
+    checked_radius, eval_query_on_histogram, BackendEvent, DenseBackend, QueryEstimate,
+    ReadSnapshot, StateBackend,
+};
 use pmw_data::workload::{LinearQuery, PointQuery};
 use pmw_data::{Dataset, Histogram, PointSource, Universe};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
@@ -76,6 +79,9 @@ fn retained_handles(
 /// `|X| = 2^26` and beyond with per-answer cost flat in `|X|`.
 pub struct LinearPmw<B: StateBackend = DenseBackend> {
     state: B,
+    /// The read view of `state`: cleared by every `⊤` round and
+    /// republished by the next answer, so free answers copy nothing.
+    snapshot: Option<Arc<dyn ReadSnapshot>>,
     data: PrivateData,
     eta: f64,
     k: usize,
@@ -176,6 +182,7 @@ impl<B: StateBackend> LinearPmw<B> {
         accountant.spend("sparse-vector", derived.sv_budget);
         Ok(Self {
             state,
+            snapshot: None,
             data,
             eta: derived.eta,
             k: config.k,
@@ -217,24 +224,21 @@ impl<B: StateBackend> LinearPmw<B> {
             Some(mut handles) => handles.pop(),
             None => None,
         };
-        let est = self
-            .state
-            .expected_query_value(query, self.data.universe_points(), rng)?;
+        let snapshot = match &self.snapshot {
+            Some(snapshot) => Arc::clone(snapshot),
+            None => Arc::clone(self.snapshot.insert(self.state.snapshot()?)),
+        };
+        let est = snapshot.expected_query_value(query, self.data.universe_points())?;
         let truth = self.data.evaluate(query)?;
         let err = (est.value - truth).abs();
         // Radius-aware SV margin: on a sketching backend `est` carries a
         // claimed concentration radius, and a ⊥ must certify that the
         // *true* hypothesis answer ⟨q, D̂_t⟩ — not just its estimate — is
         // within α of the data. Exact backends claim radius 0, so the
-        // dense path processes the identical value bit-for-bit.
-        // A corrupted radius (NaN/∞/negative) would silently poison the
-        // comparison — refuse loudly before any budget is consumed.
-        if !est.radius.is_finite() || est.radius < 0.0 {
-            return Err(PmwError::Degraded(
-                "backend claimed a non-finite or negative estimate radius",
-            ));
-        }
-        let outcome = match self.sv.process(err + est.radius, rng) {
+        // dense path processes the identical value bit-for-bit. A
+        // corrupted radius is refused before any budget is consumed.
+        let radius = checked_radius(est.radius)?;
+        let outcome = match self.sv.process(err + radius, rng) {
             Ok(o) => o,
             Err(pmw_dp::DpError::SparseVectorHalted) => {
                 self.halted = true;
@@ -250,6 +254,8 @@ impl<B: StateBackend> LinearPmw<B> {
                 est.value
             }
             SvOutcome::Top => {
+                // The round changes the state: the next answer republishes.
+                self.snapshot = None;
                 // Budget first: the release and the update may fail after
                 // the SV top is already consumed, and a failing release
                 // may already have leaked its noise.
@@ -525,19 +531,25 @@ impl Mwem {
             .iter()
             .map(|q| data.evaluate(*q))
             .collect::<Result<_, _>>()?;
+        // Every read of D̂_t goes through a snapshot: one published here,
+        // one after each round's update.
+        let estimates = |snapshot: &dyn ReadSnapshot| -> Result<Vec<QueryEstimate>, PmwError> {
+            queries
+                .iter()
+                .map(|q| snapshot.expected_query_value(*q, points))
+                .collect()
+        };
+        let mut snapshot = state.snapshot()?;
         // Hypothesis estimates under D̂_1 (round-1 selection scores), with
         // their claimed concentration radii (0 on exact backends).
-        let mut ests: Vec<crate::state::QueryEstimate> = queries
-            .iter()
-            .map(|q| state.expected_query_value(*q, points, rng))
-            .collect::<Result<_, _>>()?;
+        let mut ests = estimates(snapshot.as_ref())?;
 
         let mut accountant = Accountant::new();
         let mut selected = Vec::with_capacity(self.rounds);
         let mut backend_events = Vec::new();
         let mut answer_sums = vec![0.0; queries.len()];
         // Dense backends also accumulate the HLM12 averaged histogram.
-        let mut avg: Option<Vec<f64>> = state.dense_hypothesis().map(|h| vec![0.0; h.len()]);
+        let mut avg: Option<Vec<f64>> = snapshot.dense_hypothesis().map(|h| vec![0.0; h.len()]);
         for t in 0..self.rounds {
             probe.round_begin(t);
             // Select the query the hypothesis answers worst. On a
@@ -553,17 +565,19 @@ impl Mwem {
                 .zip(&truths)
                 .map(|(e, t)| (e.value - t).abs())
                 .collect();
-            // A NaN radius would silently fall out of the f64::max fold
-            // and revert the selection to the unwidened sensitivity;
-            // reject non-finite radii loudly instead (mirroring how the
-            // sparse-vector path rejects a non-finite widened margin).
-            if ests.iter().any(|e| !e.radius.is_finite()) {
-                probe.round_end(t, "error");
-                return Err(PmwError::InvalidConfig(
-                    "state backend claimed a non-finite query-estimate radius",
-                ));
-            }
-            let widen = ests.iter().map(|e| e.radius).fold(0.0, f64::max);
+            // Every radius passes the guard first: a NaN would silently
+            // fall out of the max and a negative one would be floored,
+            // either way reverting to the unwidened sensitivity.
+            let widen = match ests
+                .iter()
+                .try_fold(0.0, |w: f64, e| checked_radius(e.radius).map(|r| w.max(r)))
+            {
+                Ok(widen) => widen,
+                Err(e) => {
+                    probe.round_end(t, "error");
+                    return Err(e);
+                }
+            };
             if P::ENABLED {
                 probe.gauge(Gauge::ClaimedRadius, widen);
             }
@@ -597,6 +611,7 @@ impl Mwem {
                 // run's event log even when the round errors out.
                 backend_events.extend(state.take_events());
                 applied?;
+                snapshot = state.snapshot()?;
                 // Post-update estimates: next round's scores, and — on the
                 // sketched path — one term of the averaged answers (averaging
                 // commutes with linear queries, so summing per-round
@@ -606,10 +621,7 @@ impl Mwem {
                 let last = t + 1 == self.rounds;
                 if !(last && avg.is_some()) {
                     probe.span_begin(Phase::Estimate);
-                    ests = queries
-                        .iter()
-                        .map(|q| state.expected_query_value(*q, points, rng))
-                        .collect::<Result<_, _>>()?;
+                    ests = estimates(snapshot.as_ref())?;
                     probe.span_end(Phase::Estimate);
                 }
                 Ok(())
@@ -625,8 +637,11 @@ impl Mwem {
                     *sum += est.value;
                 }
             }
+            // Average off the round's snapshot: its copy of the hypothesis
+            // runs the round's one normalization sweep, shared with the
+            // estimates above, and the live histogram never normalizes.
             if let Some(avg) = avg.as_mut() {
-                let weights = state
+                let weights = snapshot
                     .dense_hypothesis()
                     .expect("dense hypothesis cannot disappear mid-run")
                     .weights();
@@ -664,6 +679,7 @@ impl Mwem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::test_stub::WideReadBackend;
     use pmw_data::workload::{random_counting_queries, ImplicitQuery};
     use pmw_data::{BooleanCube, PointMatrix, Universe, UniversePoints};
     use rand::rngs::StdRng;
@@ -785,10 +801,11 @@ mod tests {
         assert!(max_err <= 0.1 + 0.1, "max error {max_err}");
     }
 
-    /// A stub backend whose reads succeed but whose query update always
-    /// fails — the regression stub for the SV/accounting desync: the
-    /// sparse vector consumes its top before the release and update run,
-    /// so a failing round must still be burned, charged and halt-mirrored.
+    /// A stub backend whose snapshot reads succeed but whose query update
+    /// always fails — the regression stub for the SV/accounting desync:
+    /// the sparse vector consumes its top before the release and update
+    /// run, so a failing round must still be burned, charged and
+    /// halt-mirrored.
     struct FailingUpdateBackend(DenseBackend);
 
     impl StateBackend for FailingUpdateBackend {
@@ -798,16 +815,6 @@ mod tests {
 
         fn updates_recorded(&self) -> usize {
             self.0.updates_recorded()
-        }
-
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn pmw_losses::CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -838,15 +845,6 @@ mod tests {
             self.0.sample_indices(m, rng)
         }
 
-        fn expected_query_value(
-            &self,
-            query: &dyn PointQuery,
-            points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
-        ) -> Result<crate::state::QueryEstimate, PmwError> {
-            self.0.expected_query_value(query, points, rng)
-        }
-
         fn apply_query_update(
             &mut self,
             _query: &dyn PointQuery,
@@ -857,6 +855,10 @@ mod tests {
             _rng: &mut dyn Rng,
         ) -> Result<(), PmwError> {
             Err(PmwError::InvalidConfig("stub query update always fails"))
+        }
+
+        fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
+            self.0.snapshot()
         }
     }
 
@@ -906,86 +908,6 @@ mod tests {
         assert!(matches!(mech.answer(&q, &mut rng), Err(PmwError::Halted)));
     }
 
-    /// A dense-delegating backend whose query estimates claim a fixed
-    /// radius — the stub for radius-aware selection/screening on sketched
-    /// state.
-    struct WideRadiusBackend(DenseBackend, f64);
-
-    impl StateBackend for WideRadiusBackend {
-        fn universe_size(&self) -> usize {
-            self.0.universe_size()
-        }
-
-        fn updates_recorded(&self) -> usize {
-            self.0.updates_recorded()
-        }
-
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn pmw_losses::CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn apply_update(
-            &mut self,
-            loss: &dyn pmw_losses::CmLoss,
-            retained: Option<Arc<dyn pmw_losses::CmLoss>>,
-            points: &PointMatrix,
-            theta_oracle: &[f64],
-            theta_hyp: &[f64],
-            eta: f64,
-            gap_weights: Option<&[f64]>,
-            rng: &mut dyn Rng,
-        ) -> Result<Option<f64>, PmwError> {
-            self.0.apply_update(
-                loss,
-                retained,
-                points,
-                theta_oracle,
-                theta_hyp,
-                eta,
-                gap_weights,
-                rng,
-            )
-        }
-
-        fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError> {
-            self.0.sample_indices(m, rng)
-        }
-
-        fn expected_query_value(
-            &self,
-            query: &dyn PointQuery,
-            points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
-        ) -> Result<crate::state::QueryEstimate, PmwError> {
-            let est = self.0.expected_query_value(query, points, rng)?;
-            Ok(crate::state::QueryEstimate {
-                value: est.value,
-                radius: self.1,
-                beta: 1e-6,
-            })
-        }
-
-        fn apply_query_update(
-            &mut self,
-            query: &dyn PointQuery,
-            retained: Option<Arc<dyn PointQuery>>,
-            coeff: f64,
-            eta: f64,
-            points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
-        ) -> Result<(), PmwError> {
-            self.0
-                .apply_query_update(query, retained, coeff, eta, points, rng)
-        }
-    }
-
     #[test]
     fn linear_pmw_sv_margin_widens_by_the_claimed_radius() {
         // Uniform data: the exact backend serves every query for free
@@ -997,7 +919,7 @@ mod tests {
         let data = Dataset::from_indices(16, rows).unwrap();
         let cube = BooleanCube::new(4).unwrap();
         let queries = random_counting_queries(16, 4, &mut rng).unwrap();
-        let state = WideRadiusBackend(DenseBackend::new(16).unwrap(), 10.0);
+        let state = WideReadBackend::new(16, 10.0);
         let mut mech =
             LinearPmw::with_backend(linear_config(4, 3, 0.2), &cube, &data, state, &mut rng)
                 .unwrap();
@@ -1051,7 +973,7 @@ mod tests {
                 &cube,
                 &data,
                 8.0,
-                WideRadiusBackend(DenseBackend::new(16).unwrap(), 10.0),
+                WideReadBackend::new(16, 10.0),
                 &mut rng_b,
             )
             .unwrap();
@@ -1062,18 +984,23 @@ mod tests {
         // Privacy spend is unchanged: same per-round ε, same entry count.
         assert_eq!(exact.accountant.len(), wide.accountant.len());
 
-        // A NaN radius must fail loudly instead of silently falling out
-        // of the max fold and reverting to the unwidened sensitivity.
-        let mut rng_c = StdRng::seed_from_u64(146);
-        let nan = mwem.run_with_backend(
-            &queries,
-            &cube,
-            &data,
-            8.0,
-            WideRadiusBackend(DenseBackend::new(16).unwrap(), f64::NAN),
-            &mut rng_c,
-        );
-        assert!(matches!(nan, Err(PmwError::InvalidConfig(_))));
+        // A NaN or negative radius must fail loudly instead of silently
+        // falling out of the max (or being floored) and reverting to the
+        // unwidened sensitivity.
+        for radius in [f64::NAN, -1.0] {
+            let corrupted = mwem.run_with_backend(
+                &queries,
+                &cube,
+                &data,
+                8.0,
+                WideReadBackend::new(16, radius),
+                &mut StdRng::seed_from_u64(146),
+            );
+            assert!(
+                matches!(corrupted, Err(PmwError::Degraded(_))),
+                "radius {radius}"
+            );
+        }
     }
 
     #[test]

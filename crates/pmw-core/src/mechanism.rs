@@ -25,7 +25,7 @@
 use crate::config::{DerivedParams, PmwConfig};
 use crate::data::PrivateData;
 use crate::error::PmwError;
-use crate::state::{DenseBackend, ReadSnapshot, StateBackend};
+use crate::state::{checked_radius, DenseBackend, ReadSnapshot, StateBackend};
 use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
 use pmw_convex::Objective;
 use pmw_data::{Dataset, Histogram, PointMatrix, PointSource, Universe};
@@ -103,8 +103,8 @@ impl ScreenContext {
     /// and collect the backend's read margin, reporting the
     /// [`Phase::HypothesisSolve`] and [`Phase::ErrorQuery`] spans through
     /// `probe`. Consumes no RNG and mutates nothing (sketched snapshots
-    /// ledger their concentration claims through their shared sampling
-    /// ledger, exactly like the live backend's reads).
+    /// ledger their concentration claims in the backend's shared sampling
+    /// ledger).
     pub fn screen<P: Probe>(
         &self,
         snapshot: &dyn ReadSnapshot,
@@ -136,15 +136,9 @@ impl ScreenContext {
         // read radius: θ̂ was solved against an *estimated* hypothesis, so a
         // ⊥ must certify the error query below α even after discounting the
         // sketch's read uncertainty. Exact backends claim radius 0.
-        let read_margin = snapshot.read_radius(self.scale_s);
-        // A corrupted margin (NaN/∞/negative) would silently poison the
-        // sparse-vector comparison; refuse loudly before any budget or
-        // noise draw is consumed, leaving the round un-burned.
-        if !read_margin.is_finite() || read_margin < 0.0 {
-            return Err(PmwError::Degraded(
-                "backend claimed a non-finite or negative read margin",
-            ));
-        }
+        // A corrupted margin is refused before any budget or noise draw is
+        // consumed, leaving the round un-burned.
+        let read_margin = checked_radius(snapshot.read_radius(self.scale_s))?;
         Ok(ScreenedQuery {
             theta_hat,
             query_value,
@@ -368,9 +362,8 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         // Read phase: publish a snapshot of the current state and screen
         // against it — the same seam a concurrent serving layer uses, so
         // the single-analyst path exercises it on every round. Snapshot
-        // reads are value- and ledger-identical to live reads at the same
-        // round, and consume no RNG, so the rng stream and every outcome
-        // are bit-for-bit the pre-split mechanism's.
+        // reads consume no RNG, so the rng stream and every outcome are
+        // bit-for-bit the pre-split mechanism's.
         let snapshot = self.state.snapshot()?;
         let screened = self.screen.screen(snapshot.as_ref(), loss, probe)?;
         drop(snapshot);
@@ -732,6 +725,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::test_stub::WideReadBackend;
     use pmw_data::BooleanCube;
     use pmw_erm::ExactOracle;
     use pmw_losses::{LinearQueryLoss, PointPredicate};
@@ -1215,108 +1209,6 @@ mod tests {
         }
     }
 
-    /// A dense-delegating backend that claims a large read radius — the
-    /// stub for the sketched-state SV margin widening.
-    struct WideReadBackend(DenseBackend);
-
-    impl StateBackend for WideReadBackend {
-        fn universe_size(&self) -> usize {
-            self.0.universe_size()
-        }
-
-        fn updates_recorded(&self) -> usize {
-            self.0.updates_recorded()
-        }
-
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn apply_update(
-            &mut self,
-            loss: &dyn CmLoss,
-            retained: Option<std::sync::Arc<dyn CmLoss>>,
-            points: &PointMatrix,
-            theta_oracle: &[f64],
-            theta_hyp: &[f64],
-            eta: f64,
-            gap_weights: Option<&[f64]>,
-            rng: &mut dyn Rng,
-        ) -> Result<Option<f64>, PmwError> {
-            self.0.apply_update(
-                loss,
-                retained,
-                points,
-                theta_oracle,
-                theta_hyp,
-                eta,
-                gap_weights,
-                rng,
-            )
-        }
-
-        fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError> {
-            self.0.sample_indices(m, rng)
-        }
-
-        fn read_radius(&self, _scale: f64) -> f64 {
-            10.0
-        }
-
-        fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
-            struct WideReadSnapshot(Arc<dyn ReadSnapshot>);
-
-            impl ReadSnapshot for WideReadSnapshot {
-                fn universe_size(&self) -> usize {
-                    self.0.universe_size()
-                }
-
-                fn updates_recorded(&self) -> usize {
-                    self.0.updates_recorded()
-                }
-
-                fn hypothesis_minimizer(
-                    &self,
-                    loss: &dyn CmLoss,
-                    points: &PointMatrix,
-                    solver_iters: usize,
-                ) -> Result<Vec<f64>, PmwError> {
-                    self.0.hypothesis_minimizer(loss, points, solver_iters)
-                }
-
-                fn expected_query_value(
-                    &self,
-                    query: &dyn pmw_data::PointQuery,
-                    points: Option<&PointMatrix>,
-                ) -> Result<crate::state::QueryEstimate, PmwError> {
-                    self.0.expected_query_value(query, points)
-                }
-
-                fn estimate_mean(
-                    &self,
-                    label: &'static str,
-                    scale: f64,
-                    f: &mut crate::state::MeanFn<'_>,
-                ) -> Result<crate::state::QueryEstimate, PmwError> {
-                    self.0.estimate_mean(label, scale, f)
-                }
-
-                fn read_radius(&self, _scale: f64) -> f64 {
-                    10.0
-                }
-            }
-
-            Ok(Arc::new(WideReadSnapshot(self.0.snapshot()?)))
-        }
-    }
-
     #[test]
     fn sv_margin_widens_by_the_backend_read_radius() {
         // Uniform data: on the exact backend every query is a free ⊥
@@ -1328,7 +1220,7 @@ mod tests {
         let cube = BooleanCube::new(3).unwrap();
         let rows: Vec<usize> = (0..16_000).map(|i| i % 8).collect();
         let data = Dataset::from_indices(8, rows).unwrap();
-        let state = WideReadBackend(DenseBackend::new(8).unwrap());
+        let state = WideReadBackend::new(8, 10.0);
         let mut mech = OnlinePmw::with_backend(
             config(6, 4, 0.2),
             &cube,

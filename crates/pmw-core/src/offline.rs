@@ -12,7 +12,7 @@
 use crate::config::PmwConfig;
 use crate::data::PrivateData;
 use crate::error::PmwError;
-use crate::state::{DenseBackend, StateBackend};
+use crate::state::{checked_radius, DenseBackend, StateBackend};
 use pmw_convex::Objective;
 use pmw_data::{Dataset, Histogram, PointSource, Universe};
 use pmw_dp::{Accountant, ExponentialMechanism, PrivacyBudget};
@@ -172,45 +172,38 @@ impl<O: ErmOracle> OfflinePmw<O> {
         let mut selected = Vec::with_capacity(rounds);
         let mut backend_events = Vec::new();
 
-        // Cache the per-loss optimal value on the true data (one solve per
-        // loss, reused across rounds).
-        let mut opt_values = Vec::with_capacity(losses.len());
+        // One objective per loss on the true data, built once (each build
+        // validates all n weights) and reused for the optimal value and
+        // every round's score.
+        let mut objectives = Vec::with_capacity(losses.len());
         for loss in losses {
             let theta_star =
                 minimize_weighted(*loss, data_points, data_weights, self.config.solver_iters)?;
             let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
-            opt_values.push(obj.value(&theta_star));
+            let opt = obj.value(&theta_star);
+            objectives.push((obj, opt));
         }
 
         for _ in 0..rounds {
-            // Score every loss: err_l(D, hypothesis).
+            // Score every loss, err_l(D, hypothesis), against one snapshot
+            // of this round's state.
+            let snapshot = state.snapshot()?;
             let mut scores = Vec::with_capacity(losses.len());
             let mut hyp_minimizers = Vec::with_capacity(losses.len());
-            for (loss, &opt) in losses.iter().zip(&opt_values) {
-                let theta_hat = state.hypothesis_minimizer(
-                    *loss,
-                    data_points,
-                    self.config.solver_iters,
-                    rng,
-                )?;
-                let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
+            for (loss, (obj, opt)) in losses.iter().zip(&objectives) {
+                let theta_hat =
+                    snapshot.hypothesis_minimizer(*loss, data_points, self.config.solver_iters)?;
                 scores.push((obj.value(&theta_hat) - opt).max(0.0));
                 hyp_minimizers.push(theta_hat);
             }
             // Radius-aware selection, as in the online mechanisms: every
             // score was computed from a θ̂ solved against the (possibly
             // sketched) hypothesis, so the EM sensitivity is widened by
-            // the backend's claimed read radius for this round's state.
-            // Exact backends claim 0, leaving the dense selection (and
-            // its rng stream) bit-for-bit unchanged.
-            let widen = state.read_radius(self.config.scale_s);
-            // A corrupted widening (NaN/∞/negative) would silently break
-            // the selection guarantee; refuse loudly before any spend.
-            if !widen.is_finite() || widen < 0.0 {
-                return Err(PmwError::Degraded(
-                    "backend claimed a non-finite or negative read margin",
-                ));
-            }
+            // the claimed read radius for this round's state. Exact
+            // backends claim 0, leaving the dense selection (and its rng
+            // stream) bit-for-bit unchanged.
+            let widen = checked_radius(snapshot.read_radius(self.config.scale_s))?;
+            drop(snapshot);
             let em = ExponentialMechanism::new(em_sensitivity + widen, em_epsilon)?;
             let idx = em.select(&scores, rng)?;
             accountant.spend("em-select", PrivacyBudget::pure(em_epsilon)?);
@@ -252,16 +245,12 @@ impl<O: ErmOracle> OfflinePmw<O> {
             applied?;
         }
 
-        // Answer everything from the final hypothesis.
-        let mut answers = Vec::with_capacity(losses.len());
-        for loss in losses {
-            answers.push(state.hypothesis_minimizer(
-                *loss,
-                data_points,
-                self.config.solver_iters,
-                rng,
-            )?);
-        }
+        // Answer everything from one snapshot of the final hypothesis.
+        let snapshot = state.snapshot()?;
+        let answers = losses
+            .iter()
+            .map(|loss| snapshot.hypothesis_minimizer(*loss, data_points, self.config.solver_iters))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok((
             OfflineBackendResult {
                 answers,
@@ -276,6 +265,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::test_stub::WideReadBackend;
     use pmw_data::{BooleanCube, PointMatrix, UniversePoints};
     use pmw_erm::{excess_risk, ExactOracle};
     use pmw_losses::{LinearQueryLoss, PointPredicate};
@@ -476,5 +466,60 @@ mod tests {
             "selected {:?}",
             result.selected
         );
+    }
+
+    #[test]
+    fn selection_sensitivity_widens_by_the_claimed_radius() {
+        // The data of `selections_favor_high_error_losses`: on the exact
+        // backend the high-error bits dominate the selection. A backend
+        // claiming a huge read radius flattens the scores into
+        // (near-)uniform Gumbel noise, so the same seed must produce a
+        // different selection transcript at the same privacy spend.
+        let cube = BooleanCube::new(3).unwrap();
+        let rows: Vec<usize> = (0..600)
+            .map(|i| if i % 2 == 0 { 0b100 } else { 0b101 })
+            .collect();
+        let data = Dataset::from_indices(8, rows).unwrap();
+        let losses = bit_losses(3);
+        let refs: Vec<&dyn CmLoss> = losses.iter().map(|l| l as &dyn CmLoss).collect();
+        let off = OfflinePmw::with_oracle(config(6, 0.1), ExactOracle::default());
+        let (exact, exact_spend) = off
+            .run_with_backend(
+                &refs,
+                &cube,
+                &data,
+                &mut DenseBackend::new(8).unwrap(),
+                &mut StdRng::seed_from_u64(166),
+            )
+            .unwrap();
+        let (wide, wide_spend) = off
+            .run_with_backend(
+                &refs,
+                &cube,
+                &data,
+                &mut WideReadBackend::new(8, 10.0),
+                &mut StdRng::seed_from_u64(166),
+            )
+            .unwrap();
+        assert_ne!(
+            exact.selected, wide.selected,
+            "radius-widened sensitivity must change the selection distribution"
+        );
+        assert_eq!(exact_spend.len(), wide_spend.len());
+
+        // A corrupted radius is refused before any round runs.
+        for radius in [f64::NAN, -1.0] {
+            let corrupted = off.run_with_backend(
+                &refs,
+                &cube,
+                &data,
+                &mut WideReadBackend::new(8, radius),
+                &mut StdRng::seed_from_u64(166),
+            );
+            assert!(
+                matches!(corrupted, Err(PmwError::Degraded(_))),
+                "radius {radius}"
+            );
+        }
     }
 }

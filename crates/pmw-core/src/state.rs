@@ -1,11 +1,19 @@
 //! The **state-backend seam**: how the mechanisms represent `D̂_t`.
 //!
-//! Figure 3 only ever touches the hypothesis through four operations —
-//! minimize a loss over it, apply the dual-certificate MW update, read the
-//! expected payoff `⟨u_t, D̂_t⟩` for diagnostics, and sample synthetic
-//! points from it. [`StateBackend`] abstracts exactly those four, so
-//! [`OnlinePmw`](crate::OnlinePmw) and [`OfflinePmw`](crate::OfflinePmw)
-//! are generic over the representation:
+//! Figure 3 writes the hypothesis with the dual-certificate MW update and
+//! reads it three ways: the minimizer `θ̂_t`, the claimed read radius, and
+//! the expected value `⟨q, D̂_t⟩` of the \[HR10\]/\[HLM12\] special cases.
+//! [`StateBackend`] carries the writes, synthetic sampling, and
+//! [`StateBackend::snapshot`], which publishes an immutable [`ReadSnapshot`].
+//! Every mechanism reads `D̂_t` only through such a snapshot, so each
+//! backend implements each read once, on its snapshot. The three live
+//! reads left on the trait (`hypothesis_minimizer`, `expected_query_value`,
+//! `read_radius`) are provided conveniences defined once here through
+//! `snapshot()`; their `rng` parameter is unused.
+//!
+//! [`OnlinePmw`](crate::OnlinePmw), [`OfflinePmw`](crate::OfflinePmw),
+//! [`LinearPmw`](crate::LinearPmw) and [`Mwem`](crate::Mwem) are generic
+//! over the representation:
 //!
 //! * [`DenseBackend`] (here) wraps the log-domain
 //!   [`Histogram`] + flat certificate sweep — the behavior-preserving
@@ -64,6 +72,21 @@ pub(crate) fn eval_query_on_histogram(
         value += w * q;
     }
     Ok(value)
+}
+
+/// The one guard on a claimed read radius: every mechanism widens a
+/// sparse-vector margin or a selection sensitivity by it, and a corrupted
+/// radius (NaN, infinite or negative) would silently break that
+/// guarantee. Refused as [`PmwError::Degraded`] before any budget or noise
+/// draw is consumed.
+pub(crate) fn checked_radius(radius: f64) -> Result<f64, PmwError> {
+    if radius.is_finite() && radius >= 0.0 {
+        Ok(radius)
+    } else {
+        Err(PmwError::Degraded(
+            "backend claimed a non-finite or negative read radius",
+        ))
+    }
 }
 
 /// A health-maintenance action a state backend took on its own initiative
@@ -192,15 +215,14 @@ pub type MeanFn<'a> = dyn FnMut(usize, &[f64]) -> Result<f64, PmwError> + 'a;
 /// snapshot after each committed update (epoch-style), and readers holding
 /// the old one keep getting consistent (merely stale) answers.
 ///
-/// Accuracy claims made through a snapshot are **ledgered with the same
-/// semantics as live reads**: sketching backends share their sampling
-/// ledger with every snapshot they publish, so a β-budget audit sees one
-/// stream of claims regardless of which view made them.
+/// This is the only read path the mechanisms use. Accuracy claims made
+/// through a snapshot are ledgered: sketching backends share their
+/// sampling ledger with every snapshot they publish, so a β-budget audit
+/// sees one stream of claims, in arrival order.
 ///
-/// Reads take no RNG: every shipped backend's read path is deterministic
-/// given its state (the `rng` parameters on [`StateBackend`] reads exist
-/// for hypothetical randomized sketches, which would not be
-/// snapshot-publishable anyway).
+/// Reads take no RNG: every backend's read path is deterministic given its
+/// state. The `rng` parameters of the provided live reads on
+/// [`StateBackend`] are unused and kept only for signature stability.
 pub trait ReadSnapshot: Send + Sync {
     /// Universe size `|X|` the state is defined over.
     fn universe_size(&self) -> usize;
@@ -210,8 +232,13 @@ pub trait ReadSnapshot: Send + Sync {
     fn updates_recorded(&self) -> usize;
 
     /// The hypothesis minimizer `θ̂ = argmin_θ ℓ(θ; D̂)` against the
-    /// frozen state. Same semantics as
-    /// [`StateBackend::hypothesis_minimizer`], minus the RNG.
+    /// frozen state — the non-private inner solve of Figure 3 step (1).
+    ///
+    /// `points` enumerates the universe only for backends with
+    /// [`StateBackend::requires_materialized_universe`]; backends holding
+    /// their own point representation ignore it (the point-source
+    /// mechanism path passes the dataset's support rows instead of a
+    /// `|X|`-sized matrix).
     fn hypothesis_minimizer(
         &self,
         loss: &dyn CmLoss,
@@ -219,8 +246,16 @@ pub trait ReadSnapshot: Send + Sync {
         solver_iters: usize,
     ) -> Result<Vec<f64>, PmwError>;
 
-    /// `⟨q, D̂⟩` against the frozen state. Same semantics as
-    /// [`StateBackend::expected_query_value`].
+    /// The expected value `⟨q, D̂⟩ = Σ_x D̂(x)·q(x)` of a linear query
+    /// under the frozen hypothesis — the hypothesis-side read of the
+    /// classic \[HR10\]/\[HLM12\] linear-query mechanisms
+    /// ([`crate::LinearPmw`], [`crate::Mwem`]).
+    ///
+    /// `points` carries the materialized universe on dense constructions
+    /// (required there for implicit queries, which evaluate on point
+    /// coordinates); backends holding their own point representation
+    /// ignore it. Queries exposing [`PointQuery::dense_values`] take the
+    /// exact [`Histogram::dot`] fast path on the dense backend.
     fn expected_query_value(
         &self,
         query: &dyn PointQuery,
@@ -240,8 +275,15 @@ pub trait ReadSnapshot: Send + Sync {
         f: &mut MeanFn<'_>,
     ) -> Result<QueryEstimate, PmwError>;
 
-    /// The concentration radius claimed for a mean read at this snapshot,
-    /// ledgered exactly like [`StateBackend::read_radius`].
+    /// The concentration radius claimed for a generic mean read of a
+    /// statistic bounded by `|f| ≤ scale` at this snapshot, at the
+    /// backend's configured failure probability — `0` for exact backends
+    /// (the default). The mechanisms widen their sparse-vector margins and
+    /// selection sensitivities by this value, so a `⊥` certifies the
+    /// *true* hypothesis-side quantity and not just its estimate; because
+    /// exact backends report `0`, the dense paths stay bit-for-bit
+    /// unchanged. Sketching backends ledger the claim. Implementations
+    /// must return a finite, non-negative value.
     fn read_radius(&self, scale: f64) -> f64 {
         let _ = scale;
         0.0
@@ -261,10 +303,10 @@ pub trait ReadSnapshot: Send + Sync {
 /// step `D̂_{t+1}(x) ∝ exp(−η·u_t(x))·D̂_t(x)` with the dual-certificate
 /// payoff `u_t(x) = ⟨θ_t − θ̂_t, ∇ℓ_x(θ̂_t)⟩` clamped to `[−S, S]`.
 ///
-/// Exactness is *not* part of the contract — sketching backends answer
-/// `hypothesis_minimizer` and the diagnostic gap with estimates whose
-/// error they account separately (see `pmw_dp::SamplingAccountant`). The
-/// dense backend is exact.
+/// Reads go through [`StateBackend::snapshot`]. Exactness is *not* part
+/// of the contract — sketching backends answer snapshot reads and the
+/// diagnostic gap with estimates whose error they account separately (see
+/// `pmw_dp::SamplingAccountant`). The dense backend is exact.
 pub trait StateBackend {
     /// Universe size `|X|` the state is defined over.
     fn universe_size(&self) -> usize;
@@ -272,24 +314,20 @@ pub trait StateBackend {
     /// Number of MW updates applied (or recorded) so far.
     fn updates_recorded(&self) -> usize;
 
-    /// The hypothesis minimizer `θ̂_t = argmin_θ ℓ(θ; D̂_t)` — the
-    /// non-private inner solve of Figure 3 step (1).
-    ///
-    /// `points` enumerates the universe only for backends with
-    /// [`StateBackend::requires_materialized_universe`]; backends holding
-    /// their own point representation ignore it (the point-source
-    /// mechanism path passes the dataset's support rows instead of a
-    /// `|X|`-sized matrix).
-    ///
-    /// `rng` is for backends that need randomness to *read* their state
-    /// (Monte-Carlo sketches); the dense backend ignores it.
+    /// [`ReadSnapshot::hypothesis_minimizer`] on a freshly published
+    /// snapshot. A convenience: the mechanisms publish once and read the
+    /// snapshot. `rng` is unused.
     fn hypothesis_minimizer(
         &self,
         loss: &dyn CmLoss,
         points: &PointMatrix,
         solver_iters: usize,
         rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError>;
+    ) -> Result<Vec<f64>, PmwError> {
+        let _ = rng;
+        self.snapshot()?
+            .hypothesis_minimizer(loss, points, solver_iters)
+    }
 
     /// Apply one dual-certificate MW update.
     ///
@@ -322,30 +360,17 @@ pub trait StateBackend {
     /// Draw `m` universe indices from `D̂_t` (synthetic-data release).
     fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError>;
 
-    /// The expected value `⟨q, D̂_t⟩ = Σ_x D̂_t(x)·q(x)` of a linear query
-    /// under the hypothesis — the hypothesis-side read of the classic
-    /// \[HR10\]/\[HLM12\] linear-query mechanisms ([`crate::LinearPmw`],
-    /// [`crate::Mwem`]).
-    ///
-    /// `points` carries the materialized universe on dense constructions
-    /// (required there for implicit queries, which evaluate on point
-    /// coordinates); backends holding their own point representation
-    /// ignore it. Queries exposing [`PointQuery::dense_values`] take the
-    /// exact [`Histogram::dot`] fast path on the dense backend —
-    /// bit-for-bit the pre-seam pipeline.
-    ///
-    /// `rng` is for backends that need randomness to read their state; no
-    /// shipped backend draws from it today.
+    /// [`ReadSnapshot::expected_query_value`] on a freshly published
+    /// snapshot. A convenience: the mechanisms publish once and read the
+    /// snapshot. `rng` is unused.
     fn expected_query_value(
         &self,
         query: &dyn PointQuery,
         points: Option<&PointMatrix>,
         rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
-        let _ = (query, points, rng);
-        Err(PmwError::InvalidConfig(
-            "this state backend does not implement linear-query evaluation",
-        ))
+        let _ = rng;
+        self.snapshot()?.expected_query_value(query, points)
     }
 
     /// Apply one linear-query MW step `D̂_{t+1}(x) ∝ exp(−η·u(x))·D̂_t(x)`
@@ -357,7 +382,7 @@ pub trait StateBackend {
     /// obtained one ([`PointQuery::clone_shared`], for backends with
     /// [`StateBackend::requires_shared_loss`]); `points` is the
     /// materialized universe on dense constructions, as in
-    /// [`StateBackend::expected_query_value`].
+    /// [`ReadSnapshot::expected_query_value`].
     #[allow(clippy::too_many_arguments)]
     fn apply_query_update(
         &mut self,
@@ -380,18 +405,13 @@ pub trait StateBackend {
         None
     }
 
-    /// The concentration radius this backend claims for a generic mean
-    /// read of a statistic bounded by `|f| ≤ scale` under the current
-    /// state, at its configured failure probability — `0` for exact
-    /// backends (the default). The mechanisms widen their sparse-vector
-    /// margins by this value when screening on sketched state, so a `⊥`
-    /// certifies the *true* hypothesis-side quantity and not just its
-    /// estimate; because exact backends report `0`, the dense paths stay
-    /// bit-for-bit unchanged. Implementations must return a finite,
-    /// non-negative value.
+    /// [`ReadSnapshot::read_radius`] on a freshly published snapshot. A
+    /// convenience: the mechanisms publish once and read the snapshot.
+    /// Returns `NaN` when no snapshot can be published, so every radius
+    /// guard refuses it.
     fn read_radius(&self, scale: f64) -> f64 {
-        let _ = scale;
-        0.0
+        self.snapshot()
+            .map_or(f64::NAN, |snapshot| snapshot.read_radius(scale))
     }
 
     /// True when [`StateBackend::apply_update`] needs an owned handle to
@@ -427,11 +447,12 @@ pub trait StateBackend {
 
     /// Publish an immutable [`ReadSnapshot`] of the current state.
     ///
-    /// The snapshot answers reads identically to the live backend at this
-    /// round, stays valid (merely stale) across later updates, and is
-    /// `Send + Sync` — the seam the concurrent serving layer is built on.
-    /// Backends that cannot freeze a consistent read view return an error
-    /// (the default).
+    /// The snapshot answers every read against the state at this round,
+    /// stays valid (merely stale) across later updates, and is `Send +
+    /// Sync` — the seam every mechanism reads through and the concurrent
+    /// serving layer is built on. Backends that cannot freeze a consistent
+    /// read view return an error (the default); no mechanism can read
+    /// them.
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
         Err(PmwError::InvalidConfig(
             "this state backend does not publish read snapshots",
@@ -481,21 +502,6 @@ impl StateBackend for DenseBackend {
         self.updates
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        _rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        Ok(minimize_weighted(
-            loss,
-            points,
-            self.hypothesis.weights(),
-            solver_iters,
-        )?)
-    }
-
     fn apply_update(
         &mut self,
         loss: &dyn CmLoss,
@@ -527,19 +533,6 @@ impl StateBackend for DenseBackend {
 
     fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError> {
         Ok(self.hypothesis.sample_many(m, rng))
-    }
-
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        points: Option<&PointMatrix>,
-        _rng: &mut dyn Rng,
-    ) -> Result<QueryEstimate, PmwError> {
-        Ok(QueryEstimate {
-            value: eval_query_on_histogram(query, &self.hypothesis, points)?,
-            radius: 0.0,
-            beta: 0.0,
-        })
     }
 
     fn apply_query_update(
@@ -592,8 +585,7 @@ impl StateBackend for DenseBackend {
 }
 
 /// The dense backend's snapshot: a frozen clone of the hypothesis
-/// histogram. Every read is exact (`radius = beta = 0`), so snapshot
-/// answers are bit-for-bit the live backend's answers at the same round.
+/// histogram. Every read is exact (`radius = beta = 0`).
 #[derive(Debug, Clone)]
 pub struct DenseSnapshot {
     hypothesis: Histogram,
@@ -902,5 +894,273 @@ mod tests {
         // Dense accessor agrees with the trait view.
         let dense = backend.dense_hypothesis().unwrap();
         assert_eq!(dense.len(), 4);
+    }
+}
+
+/// The crate's shared backend stub for the read-path tests.
+#[cfg(test)]
+pub(crate) mod test_stub {
+    use super::*;
+
+    /// A [`DenseBackend`] whose snapshots claim a fixed radius on both
+    /// `read_radius` and every `expected_query_value` — the stub for
+    /// radius-aware screening and selection on sketched state. Its three
+    /// live reads panic, so a mechanism that reads past the snapshot fails
+    /// loudly.
+    pub(crate) struct WideReadBackend {
+        inner: DenseBackend,
+        radius: f64,
+    }
+
+    impl WideReadBackend {
+        pub(crate) fn new(universe_size: usize, radius: f64) -> Self {
+            Self {
+                inner: DenseBackend::new(universe_size).unwrap(),
+                radius,
+            }
+        }
+    }
+
+    impl StateBackend for WideReadBackend {
+        fn universe_size(&self) -> usize {
+            self.inner.universe_size()
+        }
+
+        fn updates_recorded(&self) -> usize {
+            self.inner.updates_recorded()
+        }
+
+        fn hypothesis_minimizer(
+            &self,
+            _loss: &dyn CmLoss,
+            _points: &PointMatrix,
+            _solver_iters: usize,
+            _rng: &mut dyn Rng,
+        ) -> Result<Vec<f64>, PmwError> {
+            panic!("live hypothesis_minimizer read: mechanisms read through a snapshot")
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn apply_update(
+            &mut self,
+            loss: &dyn CmLoss,
+            retained: Option<Arc<dyn CmLoss>>,
+            points: &PointMatrix,
+            theta_oracle: &[f64],
+            theta_hyp: &[f64],
+            eta: f64,
+            gap_weights: Option<&[f64]>,
+            rng: &mut dyn Rng,
+        ) -> Result<Option<f64>, PmwError> {
+            self.inner.apply_update(
+                loss,
+                retained,
+                points,
+                theta_oracle,
+                theta_hyp,
+                eta,
+                gap_weights,
+                rng,
+            )
+        }
+
+        fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError> {
+            self.inner.sample_indices(m, rng)
+        }
+
+        fn expected_query_value(
+            &self,
+            _query: &dyn PointQuery,
+            _points: Option<&PointMatrix>,
+            _rng: &mut dyn Rng,
+        ) -> Result<QueryEstimate, PmwError> {
+            panic!("live expected_query_value read: mechanisms read through a snapshot")
+        }
+
+        fn apply_query_update(
+            &mut self,
+            query: &dyn PointQuery,
+            retained: Option<Arc<dyn PointQuery>>,
+            coeff: f64,
+            eta: f64,
+            points: Option<&PointMatrix>,
+            rng: &mut dyn Rng,
+        ) -> Result<(), PmwError> {
+            self.inner
+                .apply_query_update(query, retained, coeff, eta, points, rng)
+        }
+
+        fn read_radius(&self, _scale: f64) -> f64 {
+            panic!("live read_radius read: mechanisms read through a snapshot")
+        }
+
+        fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
+            Ok(Arc::new(WideReadSnapshot {
+                inner: self.inner.snapshot()?,
+                radius: self.radius,
+            }))
+        }
+    }
+
+    struct WideReadSnapshot {
+        inner: Arc<dyn ReadSnapshot>,
+        radius: f64,
+    }
+
+    impl ReadSnapshot for WideReadSnapshot {
+        fn universe_size(&self) -> usize {
+            self.inner.universe_size()
+        }
+
+        fn updates_recorded(&self) -> usize {
+            self.inner.updates_recorded()
+        }
+
+        fn hypothesis_minimizer(
+            &self,
+            loss: &dyn CmLoss,
+            points: &PointMatrix,
+            solver_iters: usize,
+        ) -> Result<Vec<f64>, PmwError> {
+            self.inner.hypothesis_minimizer(loss, points, solver_iters)
+        }
+
+        fn expected_query_value(
+            &self,
+            query: &dyn PointQuery,
+            points: Option<&PointMatrix>,
+        ) -> Result<QueryEstimate, PmwError> {
+            let est = self.inner.expected_query_value(query, points)?;
+            Ok(QueryEstimate {
+                radius: self.radius,
+                ..est
+            })
+        }
+
+        fn estimate_mean(
+            &self,
+            label: &'static str,
+            scale: f64,
+            f: &mut MeanFn<'_>,
+        ) -> Result<QueryEstimate, PmwError> {
+            self.inner.estimate_mean(label, scale, f)
+        }
+
+        fn read_radius(&self, _scale: f64) -> f64 {
+            self.radius
+        }
+
+        fn dense_hypothesis(&self) -> Option<&Histogram> {
+            self.inner.dense_hypothesis()
+        }
+    }
+
+    /// A [`crate::LinearPmw`] stream of `queries`, as answer bits (`None`
+    /// for an error), plus the updates it used.
+    fn linear_stream<B: StateBackend>(
+        state: B,
+        queries: &[pmw_data::workload::LinearQuery],
+    ) -> (Vec<Option<u64>>, usize) {
+        use pmw_data::{BooleanCube, Dataset};
+        use rand::{rngs::StdRng, SeedableRng};
+        let cube = BooleanCube::new(3).unwrap();
+        let data = Dataset::from_indices(8, vec![7; 400]).unwrap();
+        let config = crate::PmwConfig::builder(2.0, 1e-6, 0.05)
+            .k(queries.len())
+            .scale(1.0)
+            .rounds_override(4)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut mech =
+            crate::LinearPmw::with_backend(config, &cube, &data, state, &mut rng).unwrap();
+        let answers = queries
+            .iter()
+            .map(|q| mech.answer(q, &mut rng).ok().map(f64::to_bits))
+            .collect();
+        (answers, mech.updates_used())
+    }
+
+    #[test]
+    fn mechanisms_read_only_through_snapshots() {
+        // At radius 0 the stub's snapshots answer exactly like the dense
+        // backend's, and its live reads panic: each mechanism must match
+        // the dense run bit-for-bit without ever reading the live backend.
+        use crate::{Mwem, OfflinePmw, PmwConfig};
+        use pmw_data::workload::random_counting_queries;
+        use pmw_data::{BooleanCube, Dataset};
+        use pmw_erm::ExactOracle;
+        use pmw_losses::{LinearQueryLoss, PointPredicate};
+        use rand::{rngs::StdRng, SeedableRng};
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cube = BooleanCube::new(3).unwrap();
+        let rows: Vec<usize> = (0..600).map(|i| if i % 3 == 0 { 1 } else { 6 }).collect();
+        let data = Dataset::from_indices(8, rows).unwrap();
+
+        let losses: Vec<LinearQueryLoss> = (0..3)
+            .map(|b| {
+                LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![b] }, 3).unwrap()
+            })
+            .collect();
+        let refs: Vec<&dyn CmLoss> = losses.iter().map(|l| l as &dyn CmLoss).collect();
+        let config = PmwConfig::builder(2.0, 1e-6, 0.1)
+            .k(16)
+            .scale(1.0)
+            .rounds_override(3)
+            .solver_iters(200)
+            .build()
+            .unwrap();
+        let off = OfflinePmw::with_oracle(config, ExactOracle::default());
+        let (dense, _) = off
+            .run_with_backend(
+                &refs,
+                &cube,
+                &data,
+                &mut DenseBackend::new(8).unwrap(),
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap();
+        let (stub, _) = off
+            .run_with_backend(
+                &refs,
+                &cube,
+                &data,
+                &mut WideReadBackend::new(8, 0.0),
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap();
+        assert_eq!(dense.selected, stub.selected);
+        for (a, b) in dense.answers.iter().zip(&stub.answers) {
+            assert_eq!(bits(a), bits(b));
+        }
+
+        let queries = random_counting_queries(8, 12, &mut StdRng::seed_from_u64(2)).unwrap();
+        let dense = linear_stream(DenseBackend::new(8).unwrap(), &queries);
+        assert!(dense.1 > 0, "the stream must cover update rounds");
+        assert_eq!(dense, linear_stream(WideReadBackend::new(8, 0.0), &queries));
+
+        let mwem = Mwem::new(4, 1.0).unwrap();
+        let dense = mwem
+            .run_with_backend(
+                &queries,
+                &cube,
+                &data,
+                4.0,
+                DenseBackend::new(8).unwrap(),
+                &mut StdRng::seed_from_u64(4),
+            )
+            .unwrap();
+        let stub = mwem
+            .run_with_backend(
+                &queries,
+                &cube,
+                &data,
+                4.0,
+                WideReadBackend::new(8, 0.0),
+                &mut StdRng::seed_from_u64(4),
+            )
+            .unwrap();
+        assert_eq!(dense.selected, stub.selected);
+        assert_eq!(bits(&dense.answers), bits(&stub.answers));
     }
 }

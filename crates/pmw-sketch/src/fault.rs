@@ -10,8 +10,9 @@
 //! * [`FaultPlan`] — one rule per fault site (oracle solves, backend
 //!   estimates, backend updates, claimed read radii, point-source reads),
 //!   derivable from a single seed via [`FaultPlan::seeded`];
-//! * [`FaultyBackend`] — wraps any [`StateBackend`], injecting estimate
-//!   failures, update failures and `NaN` read radii on schedule;
+//! * [`FaultyBackend`] — wraps any [`StateBackend`], injecting update
+//!   failures on schedule, and estimate failures and `NaN` read radii
+//!   through the snapshots it publishes;
 //! * [`FaultyOracle`] — wraps any [`ErmOracle`], injecting solve failures
 //!   on schedule (exercising `PmwConfig::oracle_retries` and the
 //!   burn-the-round paths);
@@ -85,14 +86,15 @@ impl FaultRule {
 pub struct FaultPlan {
     /// Oracle solve failures ([`FaultyOracle`]).
     pub oracle: FaultRule,
-    /// Backend estimate failures (`expected_query_value`,
-    /// [`FaultyBackend`]).
+    /// Snapshot estimate failures (`expected_query_value` on a
+    /// [`FaultyBackend`]'s snapshots).
     pub estimate: FaultRule,
     /// Backend update failures (`apply_update` / `apply_query_update`,
     /// [`FaultyBackend`]).
     pub update: FaultRule,
-    /// Injected `NaN` claimed read radii (`read_radius`,
-    /// [`FaultyBackend`]) — the mechanisms must refuse these loudly.
+    /// Injected `NaN` claimed read radii (`read_radius` on a
+    /// [`FaultyBackend`]'s snapshots) — the mechanisms must refuse these
+    /// loudly.
     pub nan_radius: FaultRule,
     /// Corrupted point-source reads ([`FaultySource`]): the scheduled
     /// `write_point` call emits a `NaN` coordinate, deterministically
@@ -128,19 +130,21 @@ impl FaultPlan {
 }
 
 /// A [`StateBackend`] wrapper that injects failures per a [`FaultPlan`]:
-/// scheduled `expected_query_value` / `apply_update` / `apply_query_update`
-/// calls error *before* touching the inner backend (so an injected update
-/// failure reaches the mechanism exactly like a real backend failure
-/// would, with the inner state untouched), and scheduled `read_radius`
-/// calls report `NaN`. Everything else delegates.
+/// scheduled `apply_update` / `apply_query_update` calls error *before*
+/// touching the inner backend (so an injected update failure reaches the
+/// mechanism exactly like a real backend failure would, with the inner
+/// state untouched). The read fault sites live only on the snapshots it
+/// publishes (`FaultySnapshot`): scheduled `expected_query_value` calls
+/// error and scheduled `read_radius` calls report `NaN`. Everything else
+/// delegates.
 #[derive(Debug)]
 pub struct FaultyBackend<B: StateBackend> {
     inner: B,
     plan: FaultPlan,
-    // Shared (`Arc<AtomicU64>`) rather than `Cell` so published snapshots
-    // keep advancing the *same* deterministic 1-based call sequence:
-    // faults scheduled for the estimate/read-radius sites must keep
-    // firing when the mechanism routes those reads through a snapshot.
+    // Shared (`Arc<AtomicU64>`) rather than `Cell` so every published
+    // snapshot advances the *same* deterministic 1-based call sequence of
+    // the estimate/read-radius sites, however many snapshots a run
+    // publishes.
     estimate_calls: Arc<AtomicU64>,
     update_calls: Arc<AtomicU64>,
     radius_calls: Arc<AtomicU64>,
@@ -191,11 +195,12 @@ impl<B: StateBackend> FaultyBackend<B> {
     }
 }
 
-/// The read snapshot a [`FaultyBackend`] publishes: delegates every read
-/// to the wrapped backend's snapshot while keeping the estimate and
-/// read-radius fault sites live — the call counters are shared with the
-/// wrapping backend, so the deterministic schedule is indifferent to
-/// whether a read went through the live backend or a snapshot.
+/// The read snapshot a [`FaultyBackend`] publishes, and the only home of
+/// its read fault sites: delegates every read to the wrapped backend's
+/// snapshot, failing scheduled `expected_query_value` calls and reporting
+/// `NaN` for scheduled `read_radius` calls. The call counters are shared
+/// with the wrapping backend, so the schedule runs over all of a run's
+/// snapshots as one sequence.
 struct FaultySnapshot {
     inner: Arc<dyn ReadSnapshot>,
     plan: FaultPlan,
@@ -263,17 +268,6 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
         self.inner.updates_recorded()
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.inner
-            .hypothesis_minimizer(loss, points, solver_iters, rng)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn apply_update(
         &mut self,
@@ -305,18 +299,6 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
         self.inner.sample_indices(m, rng)
     }
 
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        points: Option<&PointMatrix>,
-        rng: &mut dyn Rng,
-    ) -> Result<QueryEstimate, PmwError> {
-        if self.fires(self.plan.estimate, &self.estimate_calls) {
-            return Err(PmwError::LossMismatch("injected fault: backend estimate"));
-        }
-        self.inner.expected_query_value(query, points, rng)
-    }
-
     fn apply_query_update(
         &mut self,
         query: &dyn PointQuery,
@@ -339,13 +321,6 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
 
     fn requires_shared_loss(&self) -> bool {
         self.inner.requires_shared_loss()
-    }
-
-    fn read_radius(&self, scale: f64) -> f64 {
-        if self.fires(self.plan.nan_radius, &self.radius_calls) {
-            return f64::NAN;
-        }
-        self.inner.read_radius(scale)
     }
 
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {

@@ -53,7 +53,7 @@ use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
 use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
 use pmw_data::par::{plan_fold, plan_fold_mut, plan_for_each_mut, ChunkPlan};
-use pmw_data::{gumbel_max_index, Histogram, PointMatrix, PointQuery};
+use pmw_data::{gumbel_max_index, PointMatrix, PointQuery};
 use pmw_dp::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
     hoeffding_radius, uncovered_mass_bound, RadiusBound, SamplingAccountant,
@@ -477,10 +477,12 @@ impl SketchReadView<'_> {
     }
 
     /// The minimum-of-bounds computation behind
-    /// [`SampledBackend::read_radius`], without the ledger entry. Also
-    /// returns the envelope candidate so the probed read path can gauge
-    /// claimed-vs-envelope.
-    fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound, f64) {
+    /// [`SampledSnapshot::read_radius`](ReadSnapshot::read_radius), without
+    /// the ledger entry: the minimum of the drift-envelope and
+    /// effective-sample-size bounds (`β/2` each; no integrand in hand means
+    /// no variance candidate), widened by the deterministic lossy-fold bias
+    /// when the pool carries one.
+    fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound) {
         let beta = self.beta;
         let (w, mean_shifted, shift) = self.snis();
         let w_sq: f64 = plan_fold(
@@ -498,15 +500,16 @@ impl SketchReadView<'_> {
         // [`CompactionPolicy::Never`]).
         let fold = compaction_fold_radius(scale, self.fold_drift);
         if r_ess <= envelope {
-            (r_ess + fold, RadiusBound::EffectiveSample, envelope)
+            (r_ess + fold, RadiusBound::EffectiveSample)
         } else {
-            (envelope + fold, RadiusBound::Hoeffding, envelope)
+            (envelope + fold, RadiusBound::Hoeffding)
         }
     }
 }
 
 /// A published, immutable read view of the sketched MW state — the
-/// [`ReadSnapshot`] the [`SampledBackend`] hands to concurrent readers.
+/// [`ReadSnapshot`] through which the mechanisms and concurrent readers
+/// read a [`SampledBackend`].
 ///
 /// The pool indices and log-weights are **cloned** at publish time
 /// (`O(m)`), and the pool points are **shared** (`Arc`): the backend never
@@ -584,8 +587,8 @@ impl ReadSnapshot for SampledSnapshot {
             ));
         }
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
-        // frozen pool points — identical floats to the live backend's
-        // solve at the publish round.
+        // frozen pool points. Exhaustive pools make this the exact dense
+        // solve.
         let (weights, _, _) = self.view().snis();
         Ok(minimize_weighted(
             loss,
@@ -644,6 +647,11 @@ impl ReadSnapshot for SampledSnapshot {
         })
     }
 
+    /// `O(m)` over the frozen weights (see `read_radius_parts`); `0` on
+    /// exhaustive pools untouched by lossy folds. Each claim is ledgered
+    /// as `"read-margin"`: a `⊥` screened against the widened margin
+    /// rests on it holding (failure probability `β`), so the union-bound
+    /// totals count it like any estimate.
     fn read_radius(&self, scale: f64) -> f64 {
         if scale <= 0.0 || scale.is_nan() {
             return 0.0;
@@ -663,7 +671,7 @@ impl ReadSnapshot for SampledSnapshot {
             }
             return fold;
         }
-        let (radius, bound, _envelope) = self.view().read_radius_parts(scale);
+        let (radius, bound) = self.view().read_radius_parts(scale);
         lock_ledger(&self.ledger).record("read-margin", self.pool_size(), radius, self.beta, bound);
         radius
     }
@@ -1501,13 +1509,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(())
     }
 
-    /// Normalized self-normalized-importance-sampling weights of the pool
-    /// (softmax of the cached log-weights) plus the shifted normalizer
-    /// mean `B̂' = (1/m)Σ exp(log w_i − shift)` and the shift itself.
-    fn snis(&self) -> (Vec<f64>, f64, f64) {
-        self.view().snis()
-    }
-
     /// The borrowed read-state shared by the live backend and its
     /// published snapshots — one code path for every estimate and bound,
     /// so a snapshot's answers are bit-for-bit the live backend's at the
@@ -1572,56 +1573,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(est)
     }
 
-    /// The concentration radius this backend claims for a generic mean
-    /// read of a statistic bounded by `|f| ≤ scale` under the current
-    /// state, at the configured `β` — the minimum of the drift-envelope
-    /// and effective-sample-size bounds (`β/2` each; no integrand in hand
-    /// means no variance candidate), widened by the deterministic
-    /// lossy-fold bias when the pool carries one. `0` on exhaustive pools
-    /// untouched by lossy folds. `O(m)` over the cached weights; used by
-    /// the mechanisms to widen their sparse-vector margins on sketched
-    /// state. Each call records a `"read-margin"` ledger entry: a `⊥`
-    /// answer screened against the widened margin *rests* on this claim
-    /// holding (failure probability `β`), so the union-bound totals must
-    /// count it like any estimate.
-    pub fn read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
-            return 0.0;
-        }
-        if self.exhaustive {
-            // Exact in sampling, but an exhaustive pool rebuilt across a
-            // lossy fold still carries the deterministic fold bias.
-            let fold = compaction_fold_radius(scale, self.pool_missing_drift);
-            if fold > 0.0 {
-                self.ledger_mut().record(
-                    "read-margin",
-                    self.pool_size(),
-                    fold,
-                    0.0,
-                    RadiusBound::Fold,
-                );
-            }
-            return fold;
-        }
-        let (radius, bound, envelope) = self.view().read_radius_parts(scale);
-        self.ledger_mut().record(
-            "read-margin",
-            self.pool_size(),
-            radius,
-            self.config.beta,
-            bound,
-        );
-        if P::ENABLED {
-            self.probe.gauge(Gauge::EnvelopeRadius, envelope);
-            self.probe.note("read_bound", bound.name());
-        }
-        radius
-    }
-
-    /// [`Self::read_radius`] for the backend's own escalation policy: the
-    /// same claimed bound, but *not* ledgered — internal control flow
-    /// makes no β-claim a caller's answer rests on, so it must not inflate
-    /// the union-bound totals.
+    /// The claimed read radius at `scale` for the backend's own escalation
+    /// policy: the bound a snapshot's
+    /// [`read_radius`](ReadSnapshot::read_radius) claims, but *not*
+    /// ledgered — internal control flow makes no β-claim a caller's answer
+    /// rests on, so it must not inflate the union-bound totals.
     fn claimed_read_radius(&self, scale: f64) -> f64 {
         if scale <= 0.0 || scale.is_nan() {
             return 0.0;
@@ -1747,31 +1703,6 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         self.log.len()
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        _points: &PointMatrix,
-        solver_iters: usize,
-        _rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.ensure_usable()?;
-        if loss.point_dim() != self.source.dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match point source",
-            ));
-        }
-        // Minimize over the pooled empirical hypothesis: SNIS weights on
-        // cached pool points. Exhaustive pools make this the exact dense
-        // solve.
-        let (weights, _, _) = self.snis();
-        Ok(minimize_weighted(
-            loss,
-            &self.pool_points,
-            &weights,
-            solver_iters,
-        )?)
-    }
-
     fn apply_update(
         &mut self,
         loss: &dyn CmLoss,
@@ -1818,20 +1749,6 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         Ok((0..m).map(|_| self.sample_index(rng)).collect())
     }
 
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        _points: Option<&PointMatrix>,
-        _rng: &mut dyn Rng,
-    ) -> Result<QueryEstimate, PmwError> {
-        let est = self.query_mean(query)?;
-        Ok(QueryEstimate {
-            value: est.value,
-            radius: est.radius,
-            beta: est.beta,
-        })
-    }
-
     fn apply_query_update(
         &mut self,
         query: &dyn PointQuery,
@@ -1851,20 +1768,12 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         Ok(())
     }
 
-    fn dense_hypothesis(&self) -> Option<&Histogram> {
-        None
-    }
-
     fn take_events(&mut self) -> Vec<BackendEvent> {
         std::mem::take(&mut self.pending_events)
     }
 
     fn requires_shared_loss(&self) -> bool {
         true
-    }
-
-    fn read_radius(&self, scale: f64) -> f64 {
-        SampledBackend::read_radius(self, scale)
     }
 
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
@@ -1883,7 +1792,7 @@ mod tests {
     use super::*;
     use crate::source::UniversePoints;
     use pmw_core::update::dual_certificate;
-    use pmw_data::{BooleanCube, Universe};
+    use pmw_data::{BooleanCube, Histogram, Universe};
     use pmw_losses::{LinearQueryLoss, PointPredicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2180,7 +2089,8 @@ mod tests {
     fn read_radius_is_zero_when_exhaustive_and_positive_when_pooled() {
         let (sketch, _, _) = driven_pair(10, 256, 8);
         assert!(!sketch.is_exhaustive());
-        let r = sketch.read_radius(1.0);
+        let snap = sketch.publish_snapshot().unwrap();
+        let r = snap.read_radius(1.0);
         assert!(r.is_finite() && r > 0.0, "{r}");
         // The margin claim is a real β-claim the mechanisms' ⊥ answers
         // rest on, so it is ledgered like every estimate.
@@ -2195,12 +2105,12 @@ mod tests {
             ));
         }
         // Zero/negative scale pins the statistic: no margin, no claim.
-        assert_eq!(sketch.read_radius(0.0), 0.0);
+        assert_eq!(snap.read_radius(0.0), 0.0);
         assert_eq!(sketch.ledger().len(), 1);
 
         let (exhaustive, _, _) = driven_pair(4, usize::MAX, 9);
         assert!(exhaustive.is_exhaustive());
-        assert_eq!(exhaustive.read_radius(1.0), 0.0);
+        assert_eq!(exhaustive.publish_snapshot().unwrap().read_radius(1.0), 0.0);
     }
 
     /// A query that is identically zero, with honest `(0, 0)` bounds: the

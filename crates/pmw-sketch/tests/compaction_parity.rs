@@ -94,7 +94,8 @@ fn read_trace(backend: &SampledBackend<UniversePoints<BooleanCube>>, seed: u64) 
             Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits()]),
             Err(_) => bits.push(u64::MAX),
         }
-        bits.push(backend.read_radius(loss.scale_bound()).to_bits());
+        let snap = backend.publish_snapshot().unwrap();
+        bits.push(snap.read_radius(loss.scale_bound()).to_bits());
         bits.push(backend.sample_index(&mut rng) as u64);
     }
     let snap = backend.publish_snapshot().unwrap();

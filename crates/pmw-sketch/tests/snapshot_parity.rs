@@ -45,9 +45,8 @@ fn bit_query(bit: usize) -> ImplicitQuery {
     ImplicitQuery::threshold(bit, 0.5, DIM).unwrap()
 }
 
-/// Bitwise comparison of a snapshot's reads against the live sampled
-/// backend at the same round: query means (value, radius, beta), the
-/// hypothesis minimizer, and the claimed read radius.
+/// Bitwise comparison of a snapshot's query means (value, radius, beta)
+/// against the live sampled backend's `query_mean` at the same round.
 fn assert_sampled_snapshot_matches_live(
     backend: &SampledBackend<UniversePoints<BooleanCube>>,
     round: usize,
@@ -79,10 +78,6 @@ fn assert_sampled_snapshot_matches_live(
             }
         }
     }
-
-    let live_radius = backend.read_radius(1.0);
-    let snap_radius = snapshot.read_radius(1.0);
-    assert_eq!(live_radius.to_bits(), snap_radius.to_bits());
 }
 
 #[test]
