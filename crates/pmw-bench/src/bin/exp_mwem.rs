@@ -39,7 +39,7 @@
 //! (render it with the `run_report` binary).
 
 use pmw_bench::{header, probe_json, trace_path};
-use pmw_core::{DenseBackend, Mwem};
+use pmw_core::{DenseBackend, Mwem, ReadSnapshot};
 use pmw_data::workload::random_implicit_marginals;
 use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointSource};
 use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe, SummaryProbe};
@@ -242,8 +242,11 @@ fn sampled_total<P: Probe>(
         }
         let mut err_sum = 0.0;
         let mut radius_sum = 0.0;
+        let snapshot = run.state.publish_snapshot().expect("snapshot");
         for (q, num) in queries.iter().zip(&nums) {
-            let est = run.state.query_mean(q).expect("probe estimate");
+            let est = snapshot
+                .expected_query_value(q, None)
+                .expect("probe estimate");
             err_sum += (est.value - num / den).abs();
             radius_sum += est.radius;
         }

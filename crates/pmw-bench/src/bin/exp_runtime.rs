@@ -271,7 +271,8 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     for t in 0..rounds {
         let (loss, t_o, t_h, eta) = axis_round(dim, t);
         sampled.record_borrowed(&loss, &t_o, &t_h, eta).unwrap();
-        black_box(sampled.certificate_mean(&loss, &t_o, &t_h).unwrap());
+        let snapshot = sampled.publish_snapshot().unwrap();
+        black_box(snapshot.certificate_mean(&loss, &t_o, &t_h).unwrap());
     }
     let sampled_round = start.elapsed().as_nanos() as f64 / rounds as f64;
     let start = Instant::now();

@@ -158,10 +158,11 @@ fn measure_sublinear(log2_x: usize, rounds: usize, budget: usize, with_dense: bo
         backend
             .record(RoundUpdate::new(shared, t_o.to_vec(), t_h.to_vec(), eta).unwrap())
             .expect("record");
-        let est = backend
+        let snapshot = backend.publish_snapshot().expect("snapshot");
+        let est = snapshot
             .certificate_mean(&loss, &t_o, &t_h)
             .expect("estimate");
-        black_box(backend.max_payoff(&loss, &t_o, &t_h).expect("max"));
+        black_box(snapshot.max_payoff(&loss, &t_o, &t_h).expect("max"));
         for _ in 0..4 {
             black_box(backend.sample_index(&mut rng));
         }

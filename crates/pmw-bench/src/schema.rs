@@ -6,24 +6,22 @@
 //! (finite, positive). The CI bench-smoke job runs these checks through
 //! the `bench_schema_check` binary after regenerating both artifacts.
 
-/// Every number appearing as `"key": <number>` in `json`, in order.
-/// Numbers are parsed as Rust `f64` literals (integer, decimal, scientific,
-/// `inf`/`NaN` never appear in valid artifacts and simply fail the parse).
+/// Every value appearing as `"key": <value>` in `json`, in order, parsed
+/// whole as a Rust `f64` literal: integer, decimal, scientific, and the
+/// `NaN`/`inf`/`-inf` Rust's `{}` prints for non-finite floats. A value
+/// that is not a number (a string, `null`, an object) reads as NaN, so
+/// the numeric checks reject it instead of skipping it.
 pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
     let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let trimmed = rest.trim_start();
-        let end = trimmed
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(trimmed.len());
-        if let Ok(v) = trimmed[..end].parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
+    json.match_indices(&needle)
+        .map(|(pos, _)| {
+            let value = json[pos + needle.len()..].trim_start();
+            let end = value
+                .find(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
+                .unwrap_or(value.len());
+            value[..end].parse().unwrap_or(f64::NAN)
+        })
+        .collect()
 }
 
 /// True when `"key":` appears anywhere in the document.
@@ -490,6 +488,21 @@ mod tests {
             "\"certificate_ns_per_elem\": -3.0",
         );
         assert!(validate_bench_runtime(&negative).is_err());
+        // Non-finite values, as Rust's `{}` prints them, and non-numbers
+        // fail the check instead of dropping out of it.
+        let non_finite = r#"{"per_round_ns": NaN, "per_round_ns": inf, "per_round_ns": 5.0}"#;
+        let parsed = extract_numbers(non_finite, "per_round_ns");
+        assert_eq!(parsed.len(), 3, "{parsed:?}");
+        assert!(parsed[0].is_nan() && parsed[1] == f64::INFINITY && parsed[2] == 5.0);
+        assert!(require_positive(non_finite, "per_round_ns").is_err());
+        for bad in ["NaN", "inf", "-inf", "null", "\"fast\""] {
+            let doc = missing_backend.replace(
+                "\"certificate_ns_per_elem\": 1.0",
+                &format!("\"certificate_ns_per_elem\": {bad}"),
+            );
+            let err = validate_bench_runtime(&doc).unwrap_err();
+            assert!(err.contains("certificate_ns_per_elem"), "{bad}: {err}");
+        }
     }
 
     #[test]

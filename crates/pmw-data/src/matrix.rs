@@ -84,7 +84,10 @@ impl PointMatrix {
                 expected: dim,
             });
         }
-        if data.iter().any(|v| !v.is_finite()) {
+        // A branch-free fold rather than a short-circuiting `any`: it
+        // vectorizes, so validating a large pool costs a fraction of the
+        // scalar loop, whose speed also swung ~30% with code alignment.
+        if !data.iter().fold(true, |finite, v| finite & v.is_finite()) {
             return Err(DataError::InvalidParameter("points must be finite"));
         }
         Ok(Self {

@@ -24,7 +24,6 @@ use pmw_core::{MeanFn, PmwError, QueryEstimate, ReadSnapshot};
 use pmw_data::{LogWeightFn, PointMatrix, PointQuery};
 use pmw_dp::compaction_fold_radius;
 use pmw_losses::CmLoss;
-use pmw_obs::{NoopProbe, Phase, Probe};
 use std::cell::RefCell;
 
 /// Rows materialized per block in the exact replay sweeps: the point
@@ -48,68 +47,15 @@ fn replay_block(
     Ok(())
 }
 
-/// The exact two-pass (shift, then normalize-and-accumulate) replay sweep
-/// shared by the live backend and its snapshots: blocks of points are
-/// materialized, the `O(t·d)` log replay runs over each block, and the
-/// normalizer/numerator accumulate in original `x` order — so the result
-/// is bit-for-bit the streaming sweep's.
-fn lazy_sweep<S: PointSource, E: From<SketchError>>(
-    source: &S,
-    log: &UpdateLog,
-    mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
-) -> Result<f64, E> {
-    let n = source.len();
-    let dim = source.dim();
-    let rows_cap = LAZY_BLOCK.min(n.max(1));
-    let mut flat = vec![0.0; rows_cap * dim];
-    let mut lw = vec![0.0; rows_cap];
-    // Pass 1: the max log-weight (numerical shift) — a max-fold in `x`
-    // order, identical at any block/chunk split.
-    let mut shift = f64::NEG_INFINITY;
-    let mut lo = 0;
-    while lo < n {
-        let rows = rows_cap.min(n - lo);
-        for i in 0..rows {
-            source.write_point(lo + i, &mut flat[i * dim..(i + 1) * dim]);
-        }
-        replay_block(log, &flat[..rows * dim], dim, &mut lw[..rows])?;
-        for &v in &lw[..rows] {
-            shift = shift.max(v);
-        }
-        lo += rows;
-    }
-    // Pass 2: shifted normalizer and statistic numerator, accumulated in
-    // `x` order (the statistic itself stays sequential: `f` is `FnMut`).
-    let (mut num, mut den) = (0.0, 0.0);
-    let mut lo = 0;
-    while lo < n {
-        let rows = rows_cap.min(n - lo);
-        for i in 0..rows {
-            source.write_point(lo + i, &mut flat[i * dim..(i + 1) * dim]);
-        }
-        replay_block(log, &flat[..rows * dim], dim, &mut lw[..rows])?;
-        for i in 0..rows {
-            let w = (lw[i] - shift).exp();
-            num += w * f(lo + i, &flat[i * dim..(i + 1) * dim])?;
-            den += w;
-        }
-        lo += rows;
-    }
-    Ok(num / den)
-}
-
 /// Exact lazy state over a [`PointSource`]: uniform prior plus the update
 /// log, evaluated per point on demand.
 ///
-/// The second type parameter is an observation [`Probe`] (default:
-/// [`NoopProbe`], which compiles every hook away). A live probe sees the
-/// backend's one heavy operation — the exact
-/// [`LazyLogBackend::expected_query_value`] replay sweep — as a
-/// [`Phase::LogReplay`] span.
+/// The backend records rounds and answers per-point log-weight lookups;
+/// the exact full-universe sweep (`⟨q, D̂_t⟩` for spot checks) runs on a
+/// published [`LazySnapshot`] ([`LazyLogBackend::snapshot`]).
 #[derive(Debug)]
-pub struct LazyLogBackend<S: PointSource, P: Probe = NoopProbe> {
+pub struct LazyLogBackend<S: PointSource> {
     source: S,
-    probe: P,
     log: UpdateLog,
     /// When to fold old rounds away ([`CompactionPolicy::Never`] by
     /// default — exact lookups forever). Lazy folds are panel-free and
@@ -124,21 +70,12 @@ pub struct LazyLogBackend<S: PointSource, P: Probe = NoopProbe> {
 impl<S: PointSource> LazyLogBackend<S> {
     /// Fresh (uniform) state over `source`.
     pub fn new(source: S) -> Result<Self, SketchError> {
-        Self::with_probe(source, NoopProbe)
-    }
-}
-
-impl<S: PointSource, P: Probe> LazyLogBackend<S, P> {
-    /// [`LazyLogBackend::new`] with an observation probe. The probe only
-    /// listens; every computation is identical.
-    pub fn with_probe(source: S, probe: P) -> Result<Self, SketchError> {
         if source.is_empty() {
             return Err(SketchError::EmptyUniverse);
         }
         let dim = source.dim();
         Ok(Self {
             source,
-            probe,
             log: UpdateLog::new(),
             policy: CompactionPolicy::Never,
             bufs: RefCell::new((vec![0.0; dim], Vec::new())),
@@ -190,37 +127,6 @@ impl<S: PointSource, P: Probe> LazyLogBackend<S, P> {
         eta: f64,
     ) -> Result<(), SketchError> {
         self.record(RoundUpdate::query_from_dyn(query, coeff, eta)?)
-    }
-
-    /// The **exact** expected query value `⟨q, D̂_t⟩` under the lazily
-    /// represented hypothesis: a streaming log-sum-exp sweep over the
-    /// whole universe — `Θ(|X|·t·d)` time with the replay run block by
-    /// block, fixed-size block scratch, no `|X|`-sized
-    /// allocation. This is the reference evaluation the Monte-Carlo
-    /// `SampledBackend` estimates are checked against; it is a
-    /// spot-check/testing tool, not a per-round operation.
-    pub fn expected_query_value(
-        &self,
-        query: &dyn pmw_data::PointQuery,
-    ) -> Result<f64, SketchError> {
-        crate::log::validate_query_shape(query, self.source.len(), self.source.dim())?;
-        self.probe.span_begin(Phase::LogReplay);
-        let swept = self.expected_query_value_sweep(query);
-        self.probe.span_end(Phase::LogReplay);
-        swept
-    }
-
-    /// The two-pass replay sweep behind
-    /// [`Self::expected_query_value`], separated so the replay span stays
-    /// balanced across its error returns. Delegates to the shared
-    /// block-wise [`lazy_sweep`].
-    fn expected_query_value_sweep(
-        &self,
-        query: &dyn pmw_data::PointQuery,
-    ) -> Result<f64, SketchError> {
-        lazy_sweep(&self.source, &self.log, |x, point| {
-            crate::log::query_value_at(query, x, point)
-        })
     }
 
     /// Universe size `|X|`.
@@ -289,10 +195,13 @@ impl<S: PointSource, P: Probe> LazyLogBackend<S, P> {
 }
 
 /// A published, immutable view of the lazy state: the frozen update-log
-/// prefix over a cloned point source. Reads are the same **exact** replay
-/// sweeps as the live backend's, but with per-call local scratch buffers
-/// instead of the live `RefCell` — which is what makes the snapshot
-/// `Sync` and freely shareable across reader threads.
+/// prefix over a cloned point source. Its reads are the **exact**
+/// full-universe replay sweep — `Θ(|X|·t·d)` time, fixed-size block
+/// scratch, no `|X|`-sized allocation — the reference evaluation the
+/// Monte-Carlo `SampledBackend` estimates are checked against; a
+/// spot-check/testing tool, not a per-round operation. Scratch buffers are
+/// per call rather than the backend's `RefCell`, which is what makes the
+/// snapshot `Sync` and freely shareable across reader threads.
 #[derive(Debug, Clone)]
 pub struct LazySnapshot<S: PointSource> {
     source: S,
@@ -335,7 +244,7 @@ impl<S: PointSource + Send + Sync> ReadSnapshot for LazySnapshot<S> {
         _points: &PointMatrix,
         _solver_iters: usize,
     ) -> Result<Vec<f64>, PmwError> {
-        // Like the live backend (which deliberately does not implement
+        // Like the backend (which deliberately does not implement
         // `StateBackend`), the lazy path answers point-wise reads and
         // exact sweeps, never hypothesis solves.
         Err(PmwError::InvalidConfig(
@@ -385,12 +294,51 @@ impl<S: PointSource + Send + Sync> ReadSnapshot for LazySnapshot<S> {
 }
 
 impl<S: PointSource> LazySnapshot<S> {
-    /// The exact replay sweep shared by the snapshot's reads — the same
-    /// float order as the live backend's
-    /// [`LazyLogBackend::expected_query_value`], through the same shared
-    /// block-wise [`lazy_sweep`] with core-chunked replay.
+    /// The exact two-pass (shift, then normalize-and-accumulate) replay
+    /// sweep shared by the snapshot's reads: blocks of points are
+    /// materialized, the `O(t·d)` log replay runs over each block, and the
+    /// normalizer/numerator accumulate in original `x` order — so the
+    /// result is bit-for-bit the streaming sweep's.
     fn estimate_sweep(&self, f: &mut MeanFn) -> Result<f64, PmwError> {
-        lazy_sweep(&self.source, &self.log, |x, point| f(x, point))
+        let (source, log) = (&self.source, &self.log);
+        let n = source.len();
+        let dim = source.dim();
+        let rows_cap = LAZY_BLOCK.min(n.max(1));
+        let mut flat = vec![0.0; rows_cap * dim];
+        let mut lw = vec![0.0; rows_cap];
+        // Pass 1: the max log-weight (numerical shift) — a max-fold in `x`
+        // order, identical at any block/chunk split.
+        let mut shift = f64::NEG_INFINITY;
+        let mut lo = 0;
+        while lo < n {
+            let rows = rows_cap.min(n - lo);
+            for i in 0..rows {
+                source.write_point(lo + i, &mut flat[i * dim..(i + 1) * dim]);
+            }
+            replay_block(log, &flat[..rows * dim], dim, &mut lw[..rows])?;
+            for &v in &lw[..rows] {
+                shift = shift.max(v);
+            }
+            lo += rows;
+        }
+        // Pass 2: shifted normalizer and statistic numerator, accumulated in
+        // `x` order (the statistic itself stays sequential: `f` is `FnMut`).
+        let (mut num, mut den) = (0.0, 0.0);
+        let mut lo = 0;
+        while lo < n {
+            let rows = rows_cap.min(n - lo);
+            for i in 0..rows {
+                source.write_point(lo + i, &mut flat[i * dim..(i + 1) * dim]);
+            }
+            replay_block(log, &flat[..rows * dim], dim, &mut lw[..rows])?;
+            for i in 0..rows {
+                let w = (lw[i] - shift).exp();
+                num += w * f(lo + i, &flat[i * dim..(i + 1) * dim])?;
+                den += w;
+            }
+            lo += rows;
+        }
+        Ok(num / den)
     }
 }
 
@@ -406,7 +354,7 @@ impl<S: PointSource> LazySnapshot<S> {
 /// [`LazyLogBackend::log_weight_of`] for the fallible form; every loss
 /// shipped in `pmw-losses` has bounded gradients on its domain and cannot
 /// trigger this.
-impl<S: PointSource, P: Probe> LogWeightFn for LazyLogBackend<S, P> {
+impl<S: PointSource> LogWeightFn for LazyLogBackend<S> {
     fn universe_size(&self) -> usize {
         self.source.len()
     }
@@ -522,14 +470,15 @@ mod tests {
             .zip(&dense_probe)
             .map(|(w, v)| w * v)
             .sum();
-        let via_lazy = lazy.expected_query_value(&probe).unwrap();
+        let snapshot = lazy.snapshot();
+        let via_lazy = snapshot.expected_query_value(&probe, None).unwrap().value;
         assert!((via_lazy - exact).abs() < 1e-12, "{via_lazy} vs {exact}");
         let dense_q = pmw_data::LinearQuery::new(dense_probe).unwrap();
-        let via_index = lazy.expected_query_value(&dense_q).unwrap();
+        let via_index = snapshot.expected_query_value(&dense_q, None).unwrap().value;
         assert!((via_index - exact).abs() < 1e-12);
         // Dimension mismatches are rejected.
         let wrong = ImplicitQuery::marginal(vec![0], 7).unwrap();
-        assert!(lazy.expected_query_value(&wrong).is_err());
+        assert!(snapshot.expected_query_value(&wrong, None).is_err());
         assert!(lazy.record_query(&wrong, 1.0, 0.5).is_err());
     }
 

@@ -8,7 +8,15 @@
 //! `O(m·d)` — not `O(|X|)`, and not even `O(m·t)`, because the log-weight
 //! of a pooled point never has to be recomputed from the log.
 //!
-//! Reads are importance-sampling estimates against the uniform proposal:
+//! The pool — indices, points, log-weights and the flags every read needs
+//! — is declared once, in a crate-private struct shared through an `Arc`
+//! by the backend, every published [`SampledSnapshot`] and the rollback
+//! checkpoint of the round in flight. Publishing and checkpointing are
+//! therefore `O(1)`; a recorded round copies the pool (copy on write) only
+//! while another holder still reads it.
+//!
+//! Reads are importance-sampling estimates against the uniform proposal;
+//! every estimate runs on a [`SampledSnapshot`], never on the live backend:
 //!
 //! * **certificate means** `⟨u, D̂_t⟩` via self-normalized importance
 //!   sampling, certified by the **minimum of three** concentration bounds
@@ -238,17 +246,18 @@ fn chunk_moments<E>(
 }
 
 /// Replay the log at every candidate — universe index `indices[i]`, its
-/// point in row `i` of the row-major `flat` — into `log_w`. Returns
-/// whether any candidate missed the checkpoint panel (replayed unseeded,
-/// inheriting the full folded-drift distortion bound instead of the
-/// panel's tighter one). On error the first failing candidate wins.
+/// point in row `i` of the row-major `flat` — into `log_w`. Returns the
+/// lossy-fold distortion bound the replayed values carry (see
+/// [`Pool::missing_drift`]): the newest checkpoint's `missing_drift` when
+/// every candidate hit the checkpoint panel, the full folded drift when any
+/// replayed unseeded. On error the first failing candidate wins.
 fn replay_candidates(
     log: &UpdateLog,
     flat: &[f64],
     dim: usize,
     indices: &[usize],
     log_w: &mut [f64],
-) -> Result<bool, SketchError> {
+) -> Result<f64, SketchError> {
     let mut grad = Vec::new();
     let mut any_unseeded = false;
     for ((slot, row), &idx) in log_w.iter_mut().zip(flat.chunks_exact(dim)).zip(indices) {
@@ -256,59 +265,209 @@ fn replay_candidates(
         *slot = lw;
         any_unseeded |= !seeded;
     }
-    Ok(any_unseeded)
+    Ok(if any_unseeded {
+        log.folded_drift()
+    } else {
+        log.checkpoint().map_or(0.0, |c| c.missing_drift())
+    })
 }
 
-/// The borrowed read-state shared by the live [`SampledBackend`] and its
-/// published [`SampledSnapshot`]s: the pool triple plus the scalar
-/// parameters every SNIS estimate and concentration bound reads. Keeping
-/// the estimator bodies here — and only here — is what makes a snapshot's
-/// answers bit-for-bit identical to the live backend's at the same round.
-struct SketchReadView<'a> {
-    pool_indices: &'a [usize],
-    pool_points: &'a PointMatrix,
-    pool_log_w: &'a [f64],
+/// Materialize the points of the universe indices `indices` from `source`
+/// into one validated row-major matrix, after the rows already in `prefix`
+/// (empty for a fresh pool).
+#[inline]
+fn materialize<S: PointSource>(
+    source: &S,
+    prefix: &[f64],
+    indices: &[usize],
+) -> Result<PointMatrix, SketchError> {
+    let dim = source.dim();
+    let mut flat = vec![0.0; prefix.len() + indices.len() * dim];
+    let (head, tail) = flat.split_at_mut(prefix.len());
+    head.copy_from_slice(prefix);
+    for (row, &idx) in tail.chunks_exact_mut(dim).zip(indices) {
+        source.write_point(idx, row);
+    }
+    PointMatrix::from_flat(flat, dim)
+        .map_err(|_| SketchError::NonFinite("point source produced invalid points"))
+}
+
+/// The sampled `D̂_t`: the pool of `m` candidates and everything a read
+/// needs to know about them, declared once. The backend, every published
+/// [`SampledSnapshot`] and the rollback checkpoint of the round in flight
+/// share it through an `Arc`, so publishing and checkpointing are `O(1)`;
+/// [`SampledBackend::record`] writes through [`Arc::make_mut`], which
+/// copies the pool only while another holder still reads it, and resample,
+/// growth and rollback replace it wholesale.
+#[derive(Debug, Clone)]
+struct Pool {
+    /// Universe index of each candidate.
+    indices: Vec<usize>,
+    /// The candidates' points, row `i` for slot `i`. Shared (`Arc`) so the
+    /// copy-on-write clone of a recorded round leaves them in place.
+    points: Arc<PointMatrix>,
+    /// Unnormalized log-weight of each candidate.
+    log_w: Vec<f64>,
+    /// True when the pool enumerates the whole universe (exact mode).
     exhaustive: bool,
-    drift_bound: f64,
-    /// The distortion bound (in log-weight) the pool's cached values
-    /// carry from lossy compaction folds — `0` when every cached value is
-    /// the exact full-history replay ([`CompactionPolicy::Never`], or a
-    /// pool untouched since its panel was checkpointed). Every estimate
-    /// and read margin widens by [`compaction_fold_radius`] of this.
-    fold_drift: f64,
-    beta: f64,
-    max_usable_radius: f64,
-    /// The pool's fixed chunk layout, hoisted once per pool size and shared
-    /// by every reduction (SNIS normalizer, moments, read radius) so they
-    /// all run in the same chunk order.
+    /// Distortion bound (log-weight) the cached values carry from lossy
+    /// compaction folds: `0` until a fold happens, then the newest
+    /// checkpoint's `missing_drift` when the pool replays from its own
+    /// panel, or the full folded drift when any pool point missed the
+    /// panel. Every estimate and read margin widens by
+    /// [`compaction_fold_radius`] of it.
+    missing_drift: f64,
+    /// The pool's fixed chunk layout — a function of `(pool size,
+    /// POOL_GRAIN)` only — shared by every reduction (SNIS normalizer,
+    /// moments, read radius) so they all run in the same chunk order.
     plan: ChunkPlan,
 }
 
-impl SketchReadView<'_> {
-    fn pool_size(&self) -> usize {
-        self.pool_indices.len()
+impl Pool {
+    fn new(
+        indices: Vec<usize>,
+        points: PointMatrix,
+        log_w: Vec<f64>,
+        exhaustive: bool,
+        missing_drift: f64,
+    ) -> Self {
+        let plan = ChunkPlan::with_grain(indices.len(), POOL_GRAIN);
+        Self {
+            indices,
+            points: Arc::new(points),
+            log_w,
+            exhaustive,
+            missing_drift,
+            plan,
+        }
+    }
+}
+
+/// A published, immutable read view of the sketched MW state — the
+/// [`ReadSnapshot`] through which the mechanisms, concurrent readers and
+/// the backend itself read a [`SampledBackend`], and the one place its
+/// estimators live.
+///
+/// Publishing is `O(1)`: the snapshot shares the backend's pool (`Arc`),
+/// and the backend copies the pool before writing to it while any
+/// snapshot still holds it. Writer-side faults after publication (failed
+/// rounds, rollbacks, poisoning, pool corruption) can therefore never
+/// reach an already-published snapshot. The sampling ledger is **shared**
+/// (`Arc`) with the backend too: concentration claims made by snapshot
+/// reads land in the same union-bound record as the backend's own
+/// maintenance entries, in arrival order, so the accuracy accounting stays
+/// complete no matter which reader made the claim.
+#[derive(Debug, Clone)]
+pub struct SampledSnapshot {
+    pool: Arc<Pool>,
+    drift_bound: f64,
+    beta: f64,
+    max_usable_radius: f64,
+    universe_size: usize,
+    dim: usize,
+    updates: usize,
+    ledger: Arc<Mutex<SamplingAccountant>>,
+}
+
+impl SampledSnapshot {
+    /// Pool size `m` at publish time.
+    pub fn pool_size(&self) -> usize {
+        self.pool.indices.len()
+    }
+
+    /// True when the frozen pool enumerates the whole universe.
+    pub fn is_exhaustive(&self) -> bool {
+        self.pool.exhaustive
+    }
+
+    /// Estimate the certificate expectation `⟨u, D̂_t⟩` for the payoff
+    /// `u(x) = ⟨θ_oracle − θ_hyp, ∇ℓ_x(θ_hyp)⟩` (clamped to `±S`), with a
+    /// concentration radius at the configured `beta`. Ledgered as
+    /// `"certificate-mean"`.
+    pub fn certificate_mean(
+        &self,
+        loss: &dyn CmLoss,
+        theta_oracle: &[f64],
+        theta_hyp: &[f64],
+    ) -> Result<Estimate, SketchError> {
+        if loss.point_dim() != self.dim {
+            return Err(SketchError::DimensionMismatch {
+                got: loss.point_dim(),
+                expected: self.dim,
+            });
+        }
+        let scale = loss.scale_bound();
+        let mut grad = vec![0.0; loss.dim()];
+        self.estimate("certificate-mean", scale, |_slot, point| {
+            dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
+                .map_err(|_| SketchError::NonFinite("certificate payoff"))
+        })
+    }
+
+    /// Sketch of `max_x u(x)`: the exact maximum over the pool, plus the
+    /// uniform-mass coverage bound (see the module docs). Exhaustive pools
+    /// return the true maximum with `uncovered_mass = 0`. Ledgered as
+    /// `"max-payoff"`.
+    pub fn max_payoff(
+        &self,
+        loss: &dyn CmLoss,
+        theta_oracle: &[f64],
+        theta_hyp: &[f64],
+    ) -> Result<MaxEstimate, SketchError> {
+        if loss.point_dim() != self.dim {
+            return Err(SketchError::DimensionMismatch {
+                got: loss.point_dim(),
+                expected: self.dim,
+            });
+        }
+        // Max over the pool: payoffs are per-element and max is
+        // associative, so no chunking is needed; the first error wins.
+        let mut grad = vec![0.0; loss.dim()];
+        let mut value = f64::NEG_INFINITY;
+        for point in self.pool.points.iter() {
+            let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
+                .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
+            value = value.max(u);
+        }
+        let (uncovered, beta, bound) = if self.pool.exhaustive {
+            (0.0, 0.0, RadiusBound::Exact)
+        } else {
+            (
+                uncovered_mass_bound(self.pool_size(), self.beta)
+                    .map_err(|_| SketchError::InvalidParameter("beta"))?,
+                self.beta,
+                RadiusBound::Coverage,
+            )
+        };
+        lock_ledger(&self.ledger).record("max-payoff", self.pool_size(), uncovered, beta, bound);
+        Ok(MaxEstimate {
+            value,
+            uncovered_mass: uncovered,
+            beta,
+        })
     }
 
     /// Normalized self-normalized-importance-sampling weights of the pool
     /// (softmax of the cached log-weights) plus the shifted normalizer
     /// mean `B̂' = (1/m)Σ exp(log w_i − shift)` and the shift itself.
     fn snis(&self) -> (Vec<f64>, f64, f64) {
+        let (plan, log_w) = (self.pool.plan, &self.pool.log_w);
         // Chunked max (associative, so chunking cannot change the result),
         // then a fused exp-and-sum pass whose partial sums combine in the
         // plan's fixed chunk order, then an elementwise normalize.
         let shift = plan_fold(
-            self.plan,
-            self.pool_log_w,
+            plan,
+            log_w,
             |_, chunk| chunk.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
             f64::max,
         );
-        let mut w = vec![0.0; self.pool_log_w.len()];
+        let mut w = vec![0.0; log_w.len()];
         let total = plan_fold_mut(
-            self.plan,
+            plan,
             &mut w,
             |offset, chunk| {
                 let mut sum = 0.0;
-                for (v, &lw) in chunk.iter_mut().zip(&self.pool_log_w[offset..]) {
+                for (v, &lw) in chunk.iter_mut().zip(&log_w[offset..]) {
                     *v = (lw - shift).exp();
                     sum += *v;
                 }
@@ -318,7 +477,7 @@ impl SketchReadView<'_> {
         );
         debug_assert!(total > 0.0 && total.is_finite());
         let mean_shifted = total / w.len() as f64;
-        plan_for_each_mut(self.plan, &mut w, |_, chunk| {
+        plan_for_each_mut(plan, &mut w, |_, chunk| {
             for v in chunk {
                 *v /= total;
             }
@@ -347,71 +506,71 @@ impl SketchReadView<'_> {
         }
     }
 
-    /// The single-pass SNIS value + minimum-of-three-bounds radius (see
-    /// [`SampledBackend::estimate_mean`] for the bound derivation and the
-    /// honesty caveat). Ledgers the claim into the shared accountant.
-    /// Generic over the error type so the live path keeps surfacing
-    /// [`SketchError`] while snapshot reads surface [`PmwError`] directly.
+    /// Self-normalized importance-sampling estimate of
+    /// `⟨f, D̂_t⟩ = Σ_x D̂_t(x)·f(x)` for a per-point function bounded by
+    /// `|f| ≤ scale`, with its concentration radius, ledgered under
+    /// `label`. The closure receives the pool **slot** alongside the
+    /// point, so index-route evaluations (dense queries) can look up the
+    /// slot's universe index. Generic over the error type so the public
+    /// reads keep surfacing [`SketchError`] while [`ReadSnapshot`] reads
+    /// surface [`PmwError`] directly.
+    ///
+    /// The radius is the minimum of the drift-envelope Hoeffding bound and
+    /// the two variance-adaptive bounds (effective-sample-size and
+    /// empirical-Bernstein), with the configured `β` split across the
+    /// candidates (envelope `β/2`, each adaptive `β/4`), so the post-hoc
+    /// minimum claims no more confidence than its weakest member. Honesty
+    /// caveat, stated plainly: the envelope candidate is a finite-sample
+    /// theorem, while the two adaptive candidates apply their bounds at a
+    /// *realized* (data-driven) effective sample size and delta-method
+    /// variance — standard practice for self-normalized importance
+    /// sampling, but an approximation, not a theorem. Their calibration is
+    /// what the workspace's drift-regime × budget coverage tests and the
+    /// `exp_sublinear` claimed-vs-realized columns measure empirically.
+    /// The weight and value second moments both adaptive bounds need are
+    /// accumulated inside the single `O(m)` value pass — no extra sweep.
+    /// The claimed radius is always finite on non-exhaustive pools (the
+    /// ESS candidate exists even when the drift envelope certifies
+    /// nothing) and provably never exceeds the envelope-only bound.
     ///
     /// The moment sweep walks the plan's chunks in chunk order and stops at
     /// the first error.
-    fn estimate_mean<E: From<SketchError>>(
+    fn estimate<E: From<SketchError>>(
         &self,
-        ledger: &Mutex<SamplingAccountant>,
         label: &'static str,
         scale: f64,
         mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
     ) -> Result<Estimate, E> {
         let (w, mean_shifted, shift) = self.snis();
-        let dim = self.pool_points.dim();
+        let (plan, points) = (self.pool.plan, &self.pool.points);
         let mut acc: Option<MomentAcc> = None;
-        for i in 0..self.plan.n_chunks() {
-            let (lo, hi) = self.plan.bounds(i);
-            let block = self.pool_points.row_block(lo, hi);
-            let part = chunk_moments(lo, block, dim, &w[lo..hi], &mut f)?;
+        for i in 0..plan.n_chunks() {
+            let (lo, hi) = plan.bounds(i);
+            let block = points.row_block(lo, hi);
+            let part = chunk_moments(lo, block, points.dim(), &w[lo..hi], &mut f)?;
             acc = Some(match acc {
                 None => part,
                 Some(prev) => prev.merge(part),
             });
         }
-        self.finish_estimate(
-            ledger,
-            label,
-            scale,
-            acc.unwrap_or_default(),
-            mean_shifted,
-            shift,
-        )
-    }
-
-    /// The minimum-of-three-bounds tail of [`Self::estimate_mean`].
-    fn finish_estimate<E: From<SketchError>>(
-        &self,
-        ledger: &Mutex<SamplingAccountant>,
-        label: &'static str,
-        scale: f64,
-        acc: MomentAcc,
-        mean_shifted: f64,
-        shift: f64,
-    ) -> Result<Estimate, E> {
         let MomentAcc {
             value,
             w_sq,
             w_sq_f,
             w_sq_f_sq,
-        } = acc;
+        } = acc.unwrap_or_default();
         // Deterministic fold bias: pool weights distorted by up to
-        // `fold_drift` in log-space shift any bounded mean by at most
-        // 2·scale·tanh(fold_drift) — a sure (β-free) claim added on top
+        // `missing_drift` in log-space shift any bounded mean by at most
+        // 2·scale·tanh(missing_drift) — a sure (β-free) claim added on top
         // of whichever concentration bound wins. Exactly 0 when no lossy
         // fold has touched the pool, leaving those paths bit-for-bit.
-        let fold = compaction_fold_radius(scale, self.fold_drift);
+        let fold = compaction_fold_radius(scale, self.pool.missing_drift);
         let (radius, beta, bound, envelope) = if scale <= 0.0 {
             // |f| ≤ 0 pins the statistic (and hence the estimate and the
             // true value) to exactly zero — no manufactured numerator
             // range, no radius, no failure probability.
             (0.0, 0.0, RadiusBound::Exact, 0.0)
-        } else if self.exhaustive {
+        } else if self.pool.exhaustive {
             // Exhaustive pools are exact in sampling, but a pool rebuilt
             // across a lossy fold still carries the fold bias — claiming
             // radius 0 there would be dishonest.
@@ -457,7 +616,7 @@ impl SketchReadView<'_> {
             }
             (radius, beta, bound, envelope)
         };
-        lock_ledger(ledger).record(label, self.pool_size(), radius, beta, bound);
+        lock_ledger(&self.ledger).record(label, self.pool_size(), radius, beta, bound);
         // Loud read failure: a claim wider than the configured usable
         // threshold must not be served as if it were an answer. Never
         // fires at the default threshold (infinity).
@@ -476,17 +635,30 @@ impl SketchReadView<'_> {
         })
     }
 
-    /// The minimum-of-bounds computation behind
-    /// [`SampledSnapshot::read_radius`](ReadSnapshot::read_radius), without
-    /// the ledger entry: the minimum of the drift-envelope and
-    /// effective-sample-size bounds (`β/2` each; no integrand in hand means
-    /// no variance candidate), widened by the deterministic lossy-fold bias
-    /// when the pool carries one.
-    fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound) {
+    /// The read margin at `scale` as `(radius, beta, bound)`, without the
+    /// ledger entry; `None` when there is nothing to claim (zero scale, or
+    /// an exhaustive pool no lossy fold has touched). On pooled state it is
+    /// the minimum of the drift-envelope and effective-sample-size bounds
+    /// (`β/2` each; no integrand in hand means no variance candidate),
+    /// widened by the deterministic lossy-fold bias when the pool carries
+    /// one.
+    fn margin(&self, scale: f64) -> Option<(f64, f64, RadiusBound)> {
+        if scale <= 0.0 || scale.is_nan() {
+            return None;
+        }
+        // Lossy-fold bias is deterministic, so it widens whichever
+        // concentration candidate wins (exactly 0 under
+        // [`CompactionPolicy::Never`]).
+        let fold = compaction_fold_radius(scale, self.pool.missing_drift);
+        if self.pool.exhaustive {
+            // Exact in sampling, but an exhaustive pool rebuilt across a
+            // lossy fold still carries the deterministic fold bias.
+            return (fold > 0.0).then_some((fold, 0.0, RadiusBound::Fold));
+        }
         let beta = self.beta;
         let (w, mean_shifted, shift) = self.snis();
         let w_sq: f64 = plan_fold(
-            self.plan,
+            self.pool.plan,
             &w,
             |_, chunk| chunk.iter().map(|v| v * v).sum::<f64>(),
             |a, b| a + b,
@@ -495,74 +667,11 @@ impl SketchReadView<'_> {
         // ŵ sums to 1, so ESS = 1/Σŵ².
         let ess = effective_sample_size(1.0, w_sq);
         let r_ess = ess_radius(2.0 * scale, ess, beta / 2.0).unwrap_or(f64::INFINITY);
-        // Lossy-fold bias is deterministic, so it widens whichever
-        // concentration candidate wins (exactly 0 under
-        // [`CompactionPolicy::Never`]).
-        let fold = compaction_fold_radius(scale, self.fold_drift);
-        if r_ess <= envelope {
-            (r_ess + fold, RadiusBound::EffectiveSample)
+        Some(if r_ess <= envelope {
+            (r_ess + fold, beta, RadiusBound::EffectiveSample)
         } else {
-            (envelope + fold, RadiusBound::Hoeffding)
-        }
-    }
-}
-
-/// A published, immutable read view of the sketched MW state — the
-/// [`ReadSnapshot`] through which the mechanisms and concurrent readers
-/// read a [`SampledBackend`].
-///
-/// The pool indices and log-weights are **cloned** at publish time
-/// (`O(m)`), and the pool points are **shared** (`Arc`): the backend never
-/// mutates them in place, only replaces them wholesale on a resample or
-/// growth. Writer-side faults after publication (failed rounds,
-/// rollbacks, poisoning, pool corruption) can therefore never reach an
-/// already-published snapshot. The sampling ledger is **shared** (`Arc`)
-/// with the live backend too: concentration claims made by snapshot reads
-/// land in the same union-bound record as the live backend's, in arrival
-/// order, so the accuracy accounting stays complete no matter which path
-/// served a read.
-#[derive(Debug, Clone)]
-pub struct SampledSnapshot {
-    pool_indices: Vec<usize>,
-    pool_points: Arc<PointMatrix>,
-    pool_log_w: Vec<f64>,
-    exhaustive: bool,
-    drift_bound: f64,
-    /// Lossy-fold distortion bound carried by the frozen pool weights —
-    /// see [`SketchReadView`]'s field of the same name.
-    fold_drift: f64,
-    beta: f64,
-    max_usable_radius: f64,
-    universe_size: usize,
-    dim: usize,
-    updates: usize,
-    plan: ChunkPlan,
-    ledger: Arc<Mutex<SamplingAccountant>>,
-}
-
-impl SampledSnapshot {
-    fn view(&self) -> SketchReadView<'_> {
-        SketchReadView {
-            pool_indices: &self.pool_indices,
-            pool_points: &self.pool_points,
-            pool_log_w: &self.pool_log_w,
-            exhaustive: self.exhaustive,
-            drift_bound: self.drift_bound,
-            fold_drift: self.fold_drift,
-            beta: self.beta,
-            max_usable_radius: self.max_usable_radius,
-            plan: self.plan,
-        }
-    }
-
-    /// Pool size `m` at publish time.
-    pub fn pool_size(&self) -> usize {
-        self.pool_indices.len()
-    }
-
-    /// True when the frozen pool enumerates the whole universe.
-    pub fn is_exhaustive(&self) -> bool {
-        self.exhaustive
+            (envelope + fold, beta, RadiusBound::Hoeffding)
+        })
     }
 }
 
@@ -589,15 +698,19 @@ impl ReadSnapshot for SampledSnapshot {
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
         // frozen pool points. Exhaustive pools make this the exact dense
         // solve.
-        let (weights, _, _) = self.view().snis();
+        let (weights, _, _) = self.snis();
         Ok(minimize_weighted(
             loss,
-            &self.pool_points,
+            &self.pool.points,
             &weights,
             solver_iters,
         )?)
     }
 
+    /// SNIS estimate of the expected query value `⟨q, D̂_t⟩` over the pool
+    /// (ledgered as `"query-mean"`): implicit queries evaluate on the
+    /// cached pool points, dense queries on the cached pool indices. Exact
+    /// (radius 0) on exhaustive pools untouched by lossy folds.
     fn expected_query_value(
         &self,
         query: &dyn PointQuery,
@@ -606,15 +719,10 @@ impl ReadSnapshot for SampledSnapshot {
         crate::log::validate_query_shape(query, self.universe_size, self.dim)?;
         let (lo, hi) = query.value_bounds();
         let scale = lo.abs().max(hi.abs());
-        let est = self.view().estimate_mean::<PmwError>(
-            &self.ledger,
-            "query-mean",
-            scale,
-            |slot, point| {
-                crate::log::query_value_at(query, self.pool_indices[slot], point)
-                    .map_err(PmwError::from)
-            },
-        )?;
+        let est = self.estimate::<PmwError>("query-mean", scale, |slot, point| {
+            crate::log::query_value_at(query, self.pool.indices[slot], point)
+                .map_err(PmwError::from)
+        })?;
         Ok(QueryEstimate {
             value: est.value,
             radius: est.radius,
@@ -635,11 +743,9 @@ impl ReadSnapshot for SampledSnapshot {
         }
         // The trait closure receives the *universe* index; the pool sweep
         // hands out slots — translate through the frozen index map.
-        let est =
-            self.view()
-                .estimate_mean::<PmwError>(&self.ledger, label, scale, |slot, point| {
-                    f(self.pool_indices[slot], point)
-                })?;
+        let est = self.estimate::<PmwError>(label, scale, |slot, point| {
+            f(self.pool.indices[slot], point)
+        })?;
         Ok(QueryEstimate {
             value: est.value,
             radius: est.radius,
@@ -647,57 +753,47 @@ impl ReadSnapshot for SampledSnapshot {
         })
     }
 
-    /// `O(m)` over the frozen weights (see `read_radius_parts`); `0` on
-    /// exhaustive pools untouched by lossy folds. Each claim is ledgered
-    /// as `"read-margin"`: a `⊥` screened against the widened margin
-    /// rests on it holding (failure probability `β`), so the union-bound
-    /// totals count it like any estimate.
+    /// `O(m)` over the frozen weights (see `margin`); `0` on exhaustive
+    /// pools untouched by lossy folds. Each claim is ledgered as
+    /// `"read-margin"`: a `⊥` screened against the widened margin rests on
+    /// it holding (failure probability `β`), so the union-bound totals
+    /// count it like any estimate.
     fn read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
+        let Some((radius, beta, bound)) = self.margin(scale) else {
             return 0.0;
-        }
-        if self.exhaustive {
-            // Exact in sampling, but an exhaustive pool rebuilt across a
-            // lossy fold still carries the deterministic fold bias.
-            let fold = compaction_fold_radius(scale, self.fold_drift);
-            if fold > 0.0 {
-                lock_ledger(&self.ledger).record(
-                    "read-margin",
-                    self.pool_size(),
-                    fold,
-                    0.0,
-                    RadiusBound::Fold,
-                );
-            }
-            return fold;
-        }
-        let (radius, bound) = self.view().read_radius_parts(scale);
-        lock_ledger(&self.ledger).record("read-margin", self.pool_size(), radius, self.beta, bound);
+        };
+        lock_ledger(&self.ledger).record("read-margin", self.pool_size(), radius, beta, bound);
         radius
     }
 }
 
 /// Monte-Carlo sketched MW state over a [`PointSource`].
 ///
+/// The backend holds the writes: recording rounds, refreshing, growing
+/// and compacting the pool, transactionally. Every read — certificate and
+/// query means, maxima, read margins, hypothesis solves — runs on a
+/// [`SampledSnapshot`] ([`SampledBackend::publish_snapshot`]), which
+/// shares the pool in `O(1)`; the backend's own reads (the escalation
+/// ladder's radius, the diagnostics gap of
+/// [`StateBackend::apply_update`]) use an unpublished one.
+///
 /// The second type parameter is an observation [`Probe`] (default:
 /// [`NoopProbe`], which compiles every hook away). A live probe sees the
 /// backend's two cost regimes as separate timed spans —
 /// [`Phase::PoolSweep`] for the `O(m·d)` per-round pool update,
-/// [`Phase::LogReplay`] for the `O(m·t·d)` refresh replay — plus
-/// [`Phase::Estimate`] spans, claimed-radius gauges, and health
-/// gauges/counters after every recorded round. Construct with
-/// [`SampledBackend::with_probe`] (typically handing `&probe` so the same
-/// probe also observes the driving mechanism).
+/// [`Phase::LogReplay`] for the `O(m·t·d)` refresh replay — plus health
+/// gauges/counters after every recorded round. Snapshot reads carry no
+/// probe. Construct with [`SampledBackend::with_probe`] (typically handing
+/// `&probe` so the same probe also observes the driving mechanism).
 #[derive(Debug)]
 pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     source: S,
     probe: P,
     config: SampledConfig,
     log: UpdateLog,
-    pool_indices: Vec<usize>,
-    pool_points: Arc<PointMatrix>,
-    pool_log_w: Vec<f64>,
-    exhaustive: bool,
+    /// The sampled `D̂_t`, shared copy-on-write with published snapshots
+    /// and the rollback checkpoint of the round in flight.
+    pool: Arc<Pool>,
     resamples: usize,
     /// Health-triggered refreshes ([`SampledConfig::ess_floor`]), a subset
     /// of `resamples`.
@@ -709,12 +805,6 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     /// Checkpointed log compactions committed so far (see
     /// [`SampledConfig::compaction`]).
     compactions: usize,
-    /// Distortion bound (log-weight) the *current pool's* cached values
-    /// carry from lossy folds: `0` until a fold happens, then the newest
-    /// checkpoint's `missing_drift` when the pool replays from its own
-    /// panel, or the full folded drift when any pool point missed the
-    /// panel. Feeds the fold term of every read radius.
-    pool_missing_drift: f64,
     /// Retained (non-folded) rounds replayed by the most recent full pool
     /// rebuild — the quantity compaction keeps flat in `t`.
     last_replay_depth: usize,
@@ -737,33 +827,24 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     bufs: RefCell<(Vec<f64>, Vec<f64>)>,
     /// The sampling-noise ledger, shared (`Arc`) with every published
     /// [`SampledSnapshot`] so concentration claims made by snapshot reads
-    /// land in the same union-bound record as the live backend's, in
-    /// arrival order.
+    /// land in the same union-bound record as the backend's own entries,
+    /// in arrival order.
     ledger: Arc<Mutex<SamplingAccountant>>,
     /// Round at which a read snapshot was last published (`None` before
     /// the first publication) — drives the `snapshot_age` health gauge.
     published_round: Cell<Option<usize>>,
-    /// Fixed chunk layout of the pool, hoisted here once per pool size
-    /// (construction, growth, restore) and reused by every sweep of every
-    /// round instead of being recomputed per call. Boundaries depend only
-    /// on `(pool size, POOL_GRAIN)`.
-    plan: ChunkPlan,
 }
 
-/// Everything a failed round must restore: the pool triple, the log
-/// length, the exhaustive flag and every health counter. Taken before a
-/// round's first mutation, dropped on success.
-struct PoolSnapshot {
-    pool_indices: Vec<usize>,
-    pool_points: Arc<PointMatrix>,
-    pool_log_w: Vec<f64>,
+/// Everything a failed round must restore: the pool, the log length and
+/// every health counter. Taken before a round's first mutation, dropped on
+/// success.
+struct RoundCheckpoint {
+    pool: Arc<Pool>,
     log_len: usize,
-    exhaustive: bool,
     resamples: usize,
     adaptive_resamples: usize,
     escalations: usize,
     pool_growths: usize,
-    pool_missing_drift: f64,
     last_replay_depth: usize,
     rounds_since_refresh: usize,
     drift_at_refresh: f64,
@@ -809,35 +890,34 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
         let n = source.len();
         let exhaustive = config.budget >= n;
-        let pool_indices: Vec<usize> = if exhaustive {
+        let indices: Vec<usize> = if exhaustive {
             (0..n).collect()
         } else {
             (0..config.budget).map(|_| rng.random_range(0..n)).collect()
         };
+        // The initial pool is written here rather than through
+        // `materialize`: behind the helper, with or without `#[inline]`,
+        // this set-up loop compiled ~30% slower (perfbench `mwem-release`
+        // `setup_s`, 2^20 cube, budget 2048, x86-64).
         let dim = source.dim();
-        let mut flat = vec![0.0; pool_indices.len() * dim];
-        for (row, &idx) in flat.chunks_exact_mut(dim).zip(&pool_indices) {
+        let mut flat = vec![0.0; indices.len() * dim];
+        for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
             source.write_point(idx, row);
         }
-        let pool_points = PointMatrix::from_flat(flat, dim)
+        let points = PointMatrix::from_flat(flat, dim)
             .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-        let pool_log_w = vec![0.0; pool_indices.len()];
-        let m = pool_indices.len();
+        let m = indices.len();
         Ok(Self {
             source,
             probe,
             config,
             log: UpdateLog::new(),
-            pool_indices,
-            pool_points: Arc::new(pool_points),
-            pool_log_w,
-            exhaustive,
+            pool: Arc::new(Pool::new(indices, points, vec![0.0; m], exhaustive, 0.0)),
             resamples: 0,
             adaptive_resamples: 0,
             escalations: 0,
             pool_growths: 0,
             compactions: 0,
-            pool_missing_drift: 0.0,
             last_replay_depth: 0,
             rounds_since_refresh: 0,
             drift_at_refresh: 0.0,
@@ -848,7 +928,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             bufs: RefCell::new((vec![0.0; dim], Vec::new())),
             ledger: Arc::new(Mutex::new(SamplingAccountant::new())),
             published_round: Cell::new(None),
-            plan: ChunkPlan::with_grain(m, POOL_GRAIN),
         })
     }
 
@@ -859,12 +938,12 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
 
     /// Pool size `m` (`min(budget, |X|)`).
     pub fn pool_size(&self) -> usize {
-        self.pool_indices.len()
+        self.pool.indices.len()
     }
 
     /// True when the pool enumerates the whole universe (exact mode).
     pub fn is_exhaustive(&self) -> bool {
-        self.exhaustive
+        self.pool.exhaustive
     }
 
     /// Rounds recorded so far.
@@ -877,9 +956,9 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         &self.log
     }
 
-    /// The sampling-noise ledger: one entry per estimate issued — by the
-    /// live backend *and* by every snapshot published from it (the ledger
-    /// is shared, so snapshot reads are ledgered too).
+    /// The sampling-noise ledger: one entry per estimate issued by any
+    /// snapshot published from this backend (the ledger is shared) and
+    /// per maintenance action of the backend itself.
     pub fn ledger(&self) -> MutexGuard<'_, SamplingAccountant> {
         lock_ledger(&self.ledger)
     }
@@ -890,29 +969,30 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Publish an immutable [`SampledSnapshot`] of the current sketched
-    /// state: pool indices and log-weights cloned (`O(m)`), pool points
-    /// and sampling ledger shared, drift envelope frozen. Fails closed on
-    /// poisoned backends — a snapshot must never freeze inconsistent state
-    /// — and records the publish round so the post-round health gauges can
-    /// report snapshot age.
+    /// state in `O(1)`: pool and sampling ledger shared, drift envelope
+    /// frozen. Fails closed on poisoned backends — a snapshot must never
+    /// freeze inconsistent state — and records the publish round so the
+    /// post-round health gauges can report snapshot age.
     pub fn publish_snapshot(&self) -> Result<SampledSnapshot, SketchError> {
         self.ensure_usable()?;
         self.published_round.set(Some(self.log.len()));
-        Ok(SampledSnapshot {
-            pool_indices: self.pool_indices.clone(),
-            pool_points: self.pool_points.clone(),
-            pool_log_w: self.pool_log_w.clone(),
-            exhaustive: self.exhaustive,
+        Ok(self.unpublished_snapshot())
+    }
+
+    /// The snapshot the backend reads its own state through: what
+    /// [`Self::publish_snapshot`] returns, without the usability check or
+    /// the publish-round mark.
+    fn unpublished_snapshot(&self) -> SampledSnapshot {
+        SampledSnapshot {
+            pool: Arc::clone(&self.pool),
             drift_bound: self.log.drift_bound(),
-            fold_drift: self.pool_missing_drift,
             beta: self.config.beta,
             max_usable_radius: self.config.max_usable_radius,
             universe_size: self.source.len(),
             dim: self.source.dim(),
             updates: self.log.len(),
-            plan: self.plan,
             ledger: Arc::clone(&self.ledger),
-        })
+        }
     }
 
     /// Total pool refreshes so far — fixed-cadence
@@ -953,7 +1033,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// [`LogCheckpoint::missing_drift`](crate::log::LogCheckpoint::missing_drift)). Every read radius widens by
     /// [`compaction_fold_radius`]`(scale, this)`.
     pub fn pool_missing_drift(&self) -> f64 {
-        self.pool_missing_drift
+        self.pool.missing_drift
     }
 
     /// Retained rounds replayed by the most recent full pool rebuild —
@@ -980,7 +1060,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// `O(m)` pass, degenerate-pool safe (see [`PoolHealth`]).
     pub fn health(&self) -> PoolHealth {
         PoolHealth::from_log_weights(
-            &self.pool_log_w,
+            &self.pool.log_w,
             (self.log.drift_bound() - self.drift_at_refresh).max(0.0),
             self.rounds_since_refresh,
         )
@@ -997,7 +1077,10 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
 
     /// Record one MW round (dual-certificate or linear-query): `O(m·d)` —
     /// update every cached pool log-weight, then retain the round in the
-    /// log.
+    /// log. The write goes through [`Arc::make_mut`]: while a published
+    /// snapshot or the round's rollback checkpoint still holds the pool,
+    /// the backend writes to its own `O(m)` copy and the holders keep the
+    /// frozen one.
     pub fn record(&mut self, update: RoundUpdate) -> Result<(), SketchError> {
         self.ensure_usable()?;
         if update.point_dim() != self.source.dim() {
@@ -1007,13 +1090,13 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             });
         }
         // Two passes (evaluate, then apply) so a failed evaluation leaves
-        // the pool untouched.
+        // the pool untouched — and uncopied.
         self.probe.span_begin(Phase::PoolSweep);
-        let mut payoffs = vec![0.0; self.pool_log_w.len()];
+        let mut payoffs = vec![0.0; self.pool.log_w.len()];
         let mut grad = Vec::new();
         let evaluated = payoffs
             .iter_mut()
-            .zip(self.pool_points.iter())
+            .zip(self.pool.points.iter())
             .try_for_each(|(slot, point)| {
                 *slot = update.payoff(point, &mut grad)?;
                 Ok(())
@@ -1023,7 +1106,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             return Err(e);
         }
         let eta = update.eta();
-        for (lw, u) in self.pool_log_w.iter_mut().zip(&payoffs) {
+        let pool = Arc::make_mut(&mut self.pool);
+        for (lw, u) in pool.log_w.iter_mut().zip(&payoffs) {
             *lw -= eta * u;
         }
         self.probe.span_end(Phase::PoolSweep);
@@ -1031,7 +1115,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         // Health sampling: pure arithmetic over the cached log-weights —
         // no RNG, no ledger entry, so default-config runs stay bit-for-bit.
         self.rounds_since_refresh += 1;
-        let ess = if self.exhaustive {
+        let ess = if self.pool.exhaustive {
             self.pool_size() as f64
         } else {
             self.health().ess
@@ -1070,43 +1154,19 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// call it explicitly.
     pub fn resample(&mut self, rng: &mut dyn Rng) -> Result<(), SketchError> {
         self.ensure_usable()?;
-        if self.exhaustive {
+        if self.pool.exhaustive {
             return Ok(());
         }
         let n = self.source.len();
-        let dim = self.source.dim();
-        let m = self.pool_indices.len();
-        let indices: Vec<usize> = (0..m).map(|_| rng.random_range(0..n)).collect();
-        let mut flat = vec![0.0; m * dim];
-        let mut log_w = vec![0.0; m];
+        let indices: Vec<usize> = (0..self.pool_size())
+            .map(|_| rng.random_range(0..n))
+            .collect();
         self.probe.span_begin(Phase::LogReplay);
-        // Materialize the candidates, then replay the
-        // `O(t·d)`-per-candidate log sweep over the flat block.
-        for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
-            self.source.write_point(idx, row);
-        }
-        let checkpoint_missing = self.log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        let replayed = replay_candidates(&self.log, &flat, dim, &indices, &mut log_w);
+        let fresh = self.replayed_pool(None, indices, false);
         self.probe.span_end(Phase::LogReplay);
-        let any_unseeded = replayed?;
         // All fresh state computed; swap atomically so a failed
         // re-evaluation above leaves the old pool untouched.
-        self.pool_points = Arc::new(
-            PointMatrix::from_flat(flat, dim)
-                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
-        );
-        self.pool_indices = indices;
-        self.pool_log_w = log_w;
-        self.pool_missing_drift = if any_unseeded {
-            self.log.folded_drift()
-        } else {
-            checkpoint_missing
-        };
-        self.last_replay_depth = self.log.retained_len();
-        if P::ENABLED {
-            self.probe
-                .gauge(Gauge::ReplayRounds, self.last_replay_depth as f64);
-        }
+        self.install(fresh?);
         self.resamples += 1;
         self.probe.counter(Counter::Resamples, 1);
         self.rounds_since_refresh = 0;
@@ -1114,11 +1174,62 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(())
     }
 
+    /// A pool of the slots of `base` (none when `None`) followed by the
+    /// candidates `fresh`, each fresh candidate materialized from the
+    /// source and replayed from the newest checkpoint plus the retained
+    /// log. The kept slots keep their own distortion bound and the fresh
+    /// ones carry theirs, so the pool-wide bound is the max. Nothing is
+    /// swapped in here, so a failure leaves the backend untouched.
+    fn replayed_pool(
+        &self,
+        base: Option<&Pool>,
+        fresh: Vec<usize>,
+        exhaustive: bool,
+    ) -> Result<Pool, SketchError> {
+        let (prefix, mut indices, mut log_w, base_drift) = match base {
+            Some(pool) => (
+                pool.points.as_flat(),
+                pool.indices.clone(),
+                pool.log_w.clone(),
+                pool.missing_drift,
+            ),
+            None => (&[][..], Vec::new(), Vec::new(), 0.0),
+        };
+        let kept = indices.len();
+        let points = materialize(&self.source, prefix, &fresh)?;
+        indices.extend_from_slice(&fresh);
+        log_w.resize(indices.len(), 0.0);
+        let fresh_drift = replay_candidates(
+            &self.log,
+            points.row_block(kept, indices.len()),
+            points.dim(),
+            &fresh,
+            &mut log_w[kept..],
+        )?;
+        Ok(Pool::new(
+            indices,
+            points,
+            log_w,
+            exhaustive,
+            base_drift.max(fresh_drift),
+        ))
+    }
+
+    /// Swap in a pool rebuilt by [`Self::replayed_pool`] and record the
+    /// replay depth it paid.
+    fn install(&mut self, pool: Pool) {
+        self.pool = Arc::new(pool);
+        self.last_replay_depth = self.log.retained_len();
+        if P::ENABLED {
+            self.probe
+                .gauge(Gauge::ReplayRounds, self.last_replay_depth as f64);
+        }
+    }
+
     /// Escalation rung 2: double the pool (capped at `cap` and at `|X|`),
     /// re-evaluating every fresh candidate from the retained log. Growing
     /// to the whole universe degrades gracefully to an exhaustive (exact)
-    /// pool. The appended state is fully computed before anything is
-    /// swapped in.
+    /// pool. The grown pool is fully computed before it is swapped in.
     fn grow_pool(&mut self, cap: usize, rng: &mut dyn Rng) -> Result<(), SketchError> {
         let n = self.source.len();
         let m = self.pool_size();
@@ -1127,86 +1238,22 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             return Ok(());
         }
         self.probe.span_begin(Phase::LogReplay);
-        let grown = self.grow_pool_to(target, rng);
-        self.probe.span_end(Phase::LogReplay);
-        grown?;
-        self.pool_growths += 1;
-        self.probe.counter(Counter::PoolGrowths, 1);
-        Ok(())
-    }
-
-    /// The replay-heavy body of [`Self::grow_pool`], separated so the
-    /// growth span stays balanced across its error returns.
-    fn grow_pool_to(&mut self, target: usize, rng: &mut dyn Rng) -> Result<(), SketchError> {
-        let n = self.source.len();
-        let dim = self.source.dim();
-        let m = self.pool_size();
-        // Points are materialized first and all RNG draws happen up front
-        // in the original order (the replay itself consumes none), keeping
-        // the rng stream identical to the historical interleaved loop.
-        let checkpoint_missing = self.log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        if target >= n {
+        // Every RNG draw happens before the replay (which consumes none),
+        // keeping the rng stream identical to the historical interleaved
+        // loop.
+        let grown = if target >= n {
             // The doubled pool would cover the universe: enumerate it once
             // and become exhaustive — every later estimate is exact in
-            // sampling (any lossy-fold bias still applies, tracked below).
-            let indices: Vec<usize> = (0..n).collect();
-            let mut flat = vec![0.0; n * dim];
-            for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
-                self.source.write_point(idx, row);
-            }
-            let mut log_w = vec![0.0; n];
-            let any_unseeded = replay_candidates(&self.log, &flat, dim, &indices, &mut log_w)?;
-            self.pool_points = Arc::new(
-                PointMatrix::from_flat(flat, dim)
-                    .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
-            );
-            self.pool_indices = indices;
-            self.pool_log_w = log_w;
-            self.exhaustive = true;
-            self.pool_missing_drift = if any_unseeded {
-                self.log.folded_drift()
-            } else {
-                checkpoint_missing
-            };
+            // sampling (any lossy-fold bias still applies).
+            self.replayed_pool(None, (0..n).collect(), true)
         } else {
-            let fresh: Vec<usize> = (m..target).map(|_| rng.random_range(0..n)).collect();
-            let mut fresh_flat = vec![0.0; fresh.len() * dim];
-            for (row, &idx) in fresh_flat.chunks_exact_mut(dim).zip(&fresh) {
-                self.source.write_point(idx, row);
-            }
-            let mut fresh_log_w = vec![0.0; fresh.len()];
-            let any_unseeded =
-                replay_candidates(&self.log, &fresh_flat, dim, &fresh, &mut fresh_log_w)?;
-            // The existing slots keep their own distortion bound; the
-            // appended ones carry theirs — the pool-wide bound is the max.
-            let fresh_missing = if any_unseeded {
-                self.log.folded_drift()
-            } else {
-                checkpoint_missing
-            };
-            self.pool_missing_drift = self.pool_missing_drift.max(fresh_missing);
-            let mut flat = Vec::with_capacity(target * dim);
-            for row in self.pool_points.iter() {
-                flat.extend_from_slice(row);
-            }
-            flat.extend_from_slice(&fresh_flat);
-            let mut indices = self.pool_indices.clone();
-            indices.extend_from_slice(&fresh);
-            let mut log_w = self.pool_log_w.clone();
-            log_w.extend_from_slice(&fresh_log_w);
-            self.pool_points = Arc::new(
-                PointMatrix::from_flat(flat, dim)
-                    .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?,
-            );
-            self.pool_indices = indices;
-            self.pool_log_w = log_w;
-        }
-        self.last_replay_depth = self.log.retained_len();
-        if P::ENABLED {
-            self.probe
-                .gauge(Gauge::ReplayRounds, self.last_replay_depth as f64);
-        }
-        self.plan = ChunkPlan::with_grain(self.pool_indices.len(), POOL_GRAIN);
+            let fresh = (m..target).map(|_| rng.random_range(0..n)).collect();
+            self.replayed_pool(Some(&*self.pool), fresh, false)
+        };
+        self.probe.span_end(Phase::LogReplay);
+        self.install(grown?);
+        self.pool_growths += 1;
+        self.probe.counter(Counter::PoolGrowths, 1);
         Ok(())
     }
 
@@ -1214,7 +1261,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// [`SampledConfig::resample_every`].
     fn maybe_resample(&mut self, rng: &mut dyn Rng) -> Result<(), SketchError> {
         let every = self.config.resample_every;
-        if every > 0 && !self.exhaustive && self.log.len().is_multiple_of(every) {
+        if every > 0 && !self.pool.exhaustive && self.log.len().is_multiple_of(every) {
             self.resample(rng)?;
         }
         Ok(())
@@ -1251,9 +1298,9 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.ensure_usable()?;
         let round = self.log.len();
         let receipt = self.log.compact(
-            &self.pool_indices,
-            &self.pool_log_w,
-            self.pool_missing_drift,
+            &self.pool.indices,
+            &self.pool.log_w,
+            self.pool.missing_drift,
         )?;
         if receipt.folded_rounds == 0 {
             return Ok(());
@@ -1288,23 +1335,20 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Capture everything a failed round must restore. Taken before a
-    /// round's first mutation, dropped on success. `O(m)`: the pool points
-    /// are shared, since a round only ever replaces them wholesale.
+    /// round's first mutation, dropped on success. `O(1)`: the pool is
+    /// shared through its `Arc`, and the round's first write
+    /// ([`Self::record`]) copies it instead of mutating the checkpoint's.
     /// (Distinct from the *published* read snapshot,
     /// [`Self::publish_snapshot`]: this one is the rollback checkpoint of
     /// the transactional round.)
-    fn pool_checkpoint(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            pool_indices: self.pool_indices.clone(),
-            pool_points: self.pool_points.clone(),
-            pool_log_w: self.pool_log_w.clone(),
+    fn pool_checkpoint(&self) -> RoundCheckpoint {
+        RoundCheckpoint {
+            pool: Arc::clone(&self.pool),
             log_len: self.log.len(),
-            exhaustive: self.exhaustive,
             resamples: self.resamples,
             adaptive_resamples: self.adaptive_resamples,
             escalations: self.escalations,
             pool_growths: self.pool_growths,
-            pool_missing_drift: self.pool_missing_drift,
             last_replay_depth: self.last_replay_depth,
             rounds_since_refresh: self.rounds_since_refresh,
             drift_at_refresh: self.drift_at_refresh,
@@ -1313,7 +1357,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
     }
 
-    /// Roll the backend back to a snapshot after a failed round, then
+    /// Roll the backend back to a checkpoint after a failed round, then
     /// verify the restored state is self-consistent. If it is not —
     /// rollback itself failed — the backend is poisoned and fails closed.
     ///
@@ -1321,16 +1365,12 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// *not* rolled back: the ledger is a conservative union-bound record
     /// of every claim ever made, and over-counting failed rounds only
     /// makes its totals more pessimistic.
-    fn restore(&mut self, snap: PoolSnapshot) {
-        self.pool_indices = snap.pool_indices;
-        self.pool_points = snap.pool_points;
-        self.pool_log_w = snap.pool_log_w;
-        self.exhaustive = snap.exhaustive;
+    fn restore(&mut self, snap: RoundCheckpoint) {
+        self.pool = snap.pool;
         self.resamples = snap.resamples;
         self.adaptive_resamples = snap.adaptive_resamples;
         self.escalations = snap.escalations;
         self.pool_growths = snap.pool_growths;
-        self.pool_missing_drift = snap.pool_missing_drift;
         self.last_replay_depth = snap.last_replay_depth;
         self.rounds_since_refresh = snap.rounds_since_refresh;
         self.drift_at_refresh = snap.drift_at_refresh;
@@ -1341,11 +1381,10 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         // failure here means the log itself is inconsistent.
         let truncated = self.log.truncate(snap.log_len);
         self.pending_events.truncate(snap.events_len);
-        let m = self.pool_indices.len();
-        self.plan = ChunkPlan::with_grain(m, POOL_GRAIN);
+        let m = self.pool_size();
         if truncated.is_err()
-            || self.pool_log_w.len() != m
-            || self.pool_points.len() != m
+            || self.pool.log_w.len() != m
+            || self.pool.points.len() != m
             || self.log.len() != snap.log_len
             || !self.log.drift_bound().is_finite()
         {
@@ -1411,18 +1450,19 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// bit-for-bit identical.
     fn post_round(&mut self, scale: f64, rng: &mut dyn Rng) -> Result<(), SketchError> {
         let round = self.log.len();
-        // Health gauges for a live probe only: `health()` is an extra
-        // `O(m)` pass, so the noop build must not pay for it.
-        if P::ENABLED && !self.exhaustive {
-            let health = self.health();
-            self.probe.gauge(Gauge::Ess, health.ess);
-            self.probe.gauge(Gauge::EssFraction, health.ess_fraction);
-            self.probe
-                .gauge(Gauge::MaxWeightShare, health.max_weight_share);
-            self.probe.gauge(Gauge::DriftBound, health.drift_bound);
-            self.probe.gauge(Gauge::PoolSize, self.pool_size() as f64);
-        }
+        // One `O(m)` health pass, and only when a live probe or the ESS
+        // floor reads it: the noop default build must not pay for it.
+        let health = (!self.pool.exhaustive && (P::ENABLED || self.config.ess_floor > 0.0))
+            .then(|| self.health());
         if P::ENABLED {
+            if let Some(health) = &health {
+                self.probe.gauge(Gauge::Ess, health.ess);
+                self.probe.gauge(Gauge::EssFraction, health.ess_fraction);
+                self.probe
+                    .gauge(Gauge::MaxWeightShare, health.max_weight_share);
+                self.probe.gauge(Gauge::DriftBound, health.drift_bound);
+                self.probe.gauge(Gauge::PoolSize, self.pool_size() as f64);
+            }
             if let Some(at) = self.published_round.get() {
                 self.probe
                     .gauge(Gauge::SnapshotAge, round.saturating_sub(at) as f64);
@@ -1432,27 +1472,25 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             self.probe
                 .gauge(Gauge::CheckpointCount, self.log.checkpoints_taken() as f64);
         }
-        if self.config.ess_floor > 0.0 && !self.exhaustive {
-            let health = self.health();
-            if health.ess_fraction < self.config.ess_floor {
-                self.resample(rng)?;
-                self.adaptive_resamples += 1;
-                self.probe.counter(Counter::AdaptiveResamples, 1);
-                self.ledger_mut().record(
-                    "adaptive-resample",
-                    self.pool_size(),
-                    0.0,
-                    0.0,
-                    RadiusBound::Exact,
-                );
-                self.pending_events.push(BackendEvent::AdaptiveResample {
-                    round,
-                    ess: health.ess,
-                    floor: self.config.ess_floor,
-                });
-            }
+        let floor = self.config.ess_floor;
+        if let Some(health) = health.filter(|h| floor > 0.0 && h.ess_fraction < floor) {
+            self.resample(rng)?;
+            self.adaptive_resamples += 1;
+            self.probe.counter(Counter::AdaptiveResamples, 1);
+            self.ledger_mut().record(
+                "adaptive-resample",
+                self.pool_size(),
+                0.0,
+                0.0,
+                RadiusBound::Exact,
+            );
+            self.pending_events.push(BackendEvent::AdaptiveResample {
+                round,
+                ess: health.ess,
+                floor,
+            });
         }
-        if self.config.max_usable_radius.is_finite() && !self.exhaustive && scale > 0.0 {
+        if self.config.max_usable_radius.is_finite() && !self.pool.exhaustive && scale > 0.0 {
             let mut radius = self.claimed_read_radius(scale);
             if radius > self.config.max_usable_radius {
                 self.escalations += 1;
@@ -1474,7 +1512,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 // universe size degrades gracefully to exact state.
                 let cap = self.config.growth_cap;
                 while radius > self.config.max_usable_radius
-                    && !self.exhaustive
+                    && !self.pool.exhaustive
                     && self.pool_size() < cap
                 {
                     let before = self.pool_size();
@@ -1498,7 +1536,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 // Rung 3: loud failure — the transactional wrapper rolls
                 // the round back, so the caller sees a consistent
                 // pre-round pool plus an explicit Degraded error.
-                if radius > self.config.max_usable_radius && !self.exhaustive {
+                if radius > self.config.max_usable_radius && !self.pool.exhaustive {
                     return Err(SketchError::Degraded(
                         "claimed read radius exceeds the usable threshold \
                          after emergency resample and pool growth",
@@ -1509,175 +1547,24 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(())
     }
 
-    /// The borrowed read-state shared by the live backend and its
-    /// published snapshots — one code path for every estimate and bound,
-    /// so a snapshot's answers are bit-for-bit the live backend's at the
-    /// same round.
-    fn view(&self) -> SketchReadView<'_> {
-        SketchReadView {
-            pool_indices: &self.pool_indices,
-            pool_points: &self.pool_points,
-            pool_log_w: &self.pool_log_w,
-            exhaustive: self.exhaustive,
-            drift_bound: self.log.drift_bound(),
-            fold_drift: self.pool_missing_drift,
-            beta: self.config.beta,
-            max_usable_radius: self.config.max_usable_radius,
-            plan: self.plan,
-        }
-    }
-
-    /// Self-normalized importance-sampling estimate of
-    /// `⟨f, D̂_t⟩ = Σ_x D̂_t(x)·f(x)` for a per-point function bounded by
-    /// `|f| ≤ scale`, with its concentration radius. The closure receives
-    /// the pool **slot** alongside the point, so index-route evaluations
-    /// (dense queries) can look up `pool_indices[slot]`.
-    ///
-    /// The radius is the minimum of the drift-envelope Hoeffding bound and
-    /// the two variance-adaptive bounds (effective-sample-size and
-    /// empirical-Bernstein), with the configured `β` split across the
-    /// candidates (envelope `β/2`, each adaptive `β/4`), so the post-hoc
-    /// minimum claims no more confidence than its weakest member. Honesty
-    /// caveat, stated plainly: the envelope candidate is a finite-sample
-    /// theorem, while the two adaptive candidates apply their bounds at a
-    /// *realized* (data-driven) effective sample size and delta-method
-    /// variance — standard practice for self-normalized importance
-    /// sampling, but an approximation, not a theorem. Their calibration is
-    /// what the workspace's drift-regime × budget coverage tests and the
-    /// `exp_sublinear` claimed-vs-realized columns measure empirically.
-    /// The weight and value second moments both adaptive bounds need are
-    /// accumulated inside the single `O(m)` value pass — no extra sweep.
-    /// The claimed radius is always finite on non-exhaustive pools (the
-    /// ESS candidate exists even when the drift envelope certifies
-    /// nothing) and provably never exceeds the envelope-only bound this
-    /// backend used to claim.
-    ///
-    /// The heavy lifting is shared with published snapshots through
-    /// [`SketchReadView`].
-    fn estimate_mean(
-        &self,
-        label: &'static str,
-        scale: f64,
-        f: impl FnMut(usize, &[f64]) -> Result<f64, SketchError>,
-    ) -> Result<Estimate, SketchError> {
-        self.ensure_usable()?;
-        self.probe.span_begin(Phase::Estimate);
-        let result = self.view().estimate_mean(&self.ledger, label, scale, f);
-        self.probe.span_end(Phase::Estimate);
-        let est = result?;
-        if P::ENABLED {
-            self.probe.gauge(Gauge::ClaimedRadius, est.radius);
-            self.probe.gauge(Gauge::EnvelopeRadius, est.envelope_radius);
-            self.probe.note("bound", est.bound.name());
-        }
-        Ok(est)
-    }
-
     /// The claimed read radius at `scale` for the backend's own escalation
-    /// policy: the bound a snapshot's
-    /// [`read_radius`](ReadSnapshot::read_radius) claims, but *not*
-    /// ledgered — internal control flow makes no β-claim a caller's answer
-    /// rests on, so it must not inflate the union-bound totals.
+    /// policy: the margin a snapshot's
+    /// [`read_radius`](ReadSnapshot::read_radius) claims, read through an
+    /// unpublished snapshot and *not* ledgered — internal control flow
+    /// makes no β-claim a caller's answer rests on, so it must not inflate
+    /// the union-bound totals.
     fn claimed_read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
-            return 0.0;
-        }
-        if self.exhaustive {
-            return compaction_fold_radius(scale, self.pool_missing_drift);
-        }
-        self.view().read_radius_parts(scale).0
-    }
-
-    /// Estimate the certificate expectation `⟨u, D̂_t⟩` for the payoff
-    /// `u(x) = ⟨θ_oracle − θ_hyp, ∇ℓ_x(θ_hyp)⟩` (clamped to `±S`), with a
-    /// concentration radius at the configured `beta`.
-    pub fn certificate_mean(
-        &self,
-        loss: &dyn CmLoss,
-        theta_oracle: &[f64],
-        theta_hyp: &[f64],
-    ) -> Result<Estimate, SketchError> {
-        if loss.point_dim() != self.source.dim() {
-            return Err(SketchError::DimensionMismatch {
-                got: loss.point_dim(),
-                expected: self.source.dim(),
-            });
-        }
-        let scale = loss.scale_bound();
-        let mut grad = vec![0.0; loss.dim()];
-        self.estimate_mean("certificate-mean", scale, |_slot, point| {
-            dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
-                .map_err(|_| SketchError::NonFinite("certificate payoff"))
-        })
-    }
-
-    /// SNIS estimate of the expected linear-query value `⟨q, D̂_t⟩` over
-    /// the pool, with the adaptive (minimum-of-bounds) concentration
-    /// radius at the configured `beta` — the hypothesis-side read of the
-    /// \[HR10\]/\[HLM12\] mechanisms, recorded in the sampling ledger like
-    /// every estimate.
-    /// Implicit queries evaluate on the cached pool points; dense queries
-    /// on the cached pool indices. Exact (radius 0) on exhaustive pools.
-    pub fn query_mean(&self, query: &dyn PointQuery) -> Result<Estimate, SketchError> {
-        crate::log::validate_query_shape(query, self.source.len(), self.source.dim())?;
-        let (lo, hi) = query.value_bounds();
-        let scale = lo.abs().max(hi.abs());
-        self.estimate_mean("query-mean", scale, |slot, point| {
-            crate::log::query_value_at(query, self.pool_indices[slot], point)
-        })
-    }
-
-    /// Sketch of `max_x u(x)`: the exact maximum over the pool, plus the
-    /// uniform-mass coverage bound (see the module docs). Exhaustive pools
-    /// return the true maximum with `uncovered_mass = 0`.
-    pub fn max_payoff(
-        &self,
-        loss: &dyn CmLoss,
-        theta_oracle: &[f64],
-        theta_hyp: &[f64],
-    ) -> Result<MaxEstimate, SketchError> {
-        self.ensure_usable()?;
-        if loss.point_dim() != self.source.dim() {
-            return Err(SketchError::DimensionMismatch {
-                got: loss.point_dim(),
-                expected: self.source.dim(),
-            });
-        }
-        // Max over the pool: payoffs are per-element and max is
-        // associative, so no chunking is needed; the first error wins.
-        let mut grad = vec![0.0; loss.dim()];
-        let mut value = f64::NEG_INFINITY;
-        for point in self.pool_points.iter() {
-            let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
-                .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
-            value = value.max(u);
-        }
-        let (uncovered, beta, bound) = if self.exhaustive {
-            (0.0, 0.0, RadiusBound::Exact)
-        } else {
-            let beta = self.config.beta;
-            (
-                uncovered_mass_bound(self.pool_size(), beta)
-                    .map_err(|_| SketchError::InvalidParameter("beta"))?,
-                beta,
-                RadiusBound::Coverage,
-            )
-        };
-        self.ledger_mut()
-            .record("max-payoff", self.pool_size(), uncovered, beta, bound);
-        Ok(MaxEstimate {
-            value,
-            uncovered_mass: uncovered,
-            beta,
-        })
+        self.unpublished_snapshot()
+            .margin(scale)
+            .map_or(0.0, |(radius, ..)| radius)
     }
 
     /// Draw one universe index from the sketched `D̂_t` via Gumbel-max over
     /// the cached pool log-weights — exact for `D̂_t` conditioned on the
     /// pool (exact for `D̂_t` itself when exhaustive). `O(m)`.
     pub fn sample_index(&self, rng: &mut dyn Rng) -> usize {
-        let slot = gumbel_max_index(self.pool_log_w.as_slice(), rng);
-        self.pool_indices[slot]
+        let slot = gumbel_max_index(self.pool.log_w.as_slice(), rng);
+        self.pool.indices[slot]
     }
 
     /// Unnormalized log-weight of any universe element, re-evaluated from
@@ -1715,10 +1602,15 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         rng: &mut dyn Rng,
     ) -> Result<Option<f64>, PmwError> {
         // Diagnostics gap (pre-update, like the dense backend): sketched
-        // hypothesis side, exact data side over the nonzero data weights.
+        // hypothesis side through an unpublished snapshot, exact data side
+        // over the nonzero data weights.
         let gap = match gap_weights {
             Some(data_w) => {
-                let u_hyp = self.certificate_mean(loss, theta_oracle, theta_hyp)?.value;
+                self.ensure_usable()?;
+                let u_hyp = self
+                    .unpublished_snapshot()
+                    .certificate_mean(loss, theta_oracle, theta_hyp)?
+                    .value;
                 let mut grad = vec![0.0; loss.dim()];
                 let mut u_data = 0.0;
                 for (x, &w) in points.iter().zip(data_w) {
@@ -1800,6 +1692,15 @@ mod tests {
 
     fn bit_loss(bit: usize, dim: usize) -> LinearQueryLoss {
         LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![bit] }, dim).unwrap()
+    }
+
+    /// The query mean a mechanism reads: `expected_query_value` on a
+    /// freshly published snapshot.
+    fn query_mean<S: PointSource, P: Probe>(
+        sketch: &SampledBackend<S, P>,
+        query: &dyn PointQuery,
+    ) -> Result<QueryEstimate, PmwError> {
+        sketch.publish_snapshot()?.expected_query_value(query, None)
     }
 
     fn driven_pair(
@@ -1908,7 +1809,11 @@ mod tests {
         assert!(sketch.is_exhaustive());
         let loss = bit_loss(0, 4);
         let (t_o, t_h) = ([0.8], [0.2]);
-        let est = sketch.certificate_mean(&loss, &t_o, &t_h).unwrap();
+        let est = sketch
+            .publish_snapshot()
+            .unwrap()
+            .certificate_mean(&loss, &t_o, &t_h)
+            .unwrap();
         assert_eq!(est.radius, 0.0);
         assert_eq!(est.beta, 0.0);
         // Exact expectation under the dense hypothesis.
@@ -1921,7 +1826,11 @@ mod tests {
         );
 
         // Max over an exhaustive pool is the true max with zero slack.
-        let max = sketch.max_payoff(&loss, &t_o, &t_h).unwrap();
+        let max = sketch
+            .publish_snapshot()
+            .unwrap()
+            .max_payoff(&loss, &t_o, &t_h)
+            .unwrap();
         let true_max = u.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!((max.value - true_max).abs() < 1e-12);
         assert_eq!(max.uncovered_mass, 0.0);
@@ -1942,7 +1851,11 @@ mod tests {
         assert!(!sketch.is_exhaustive());
         let loss = bit_loss(3, 10);
         let (t_o, t_h) = ([0.9], [0.1]);
-        let est = sketch.certificate_mean(&loss, &t_o, &t_h).unwrap();
+        let est = sketch
+            .publish_snapshot()
+            .unwrap()
+            .certificate_mean(&loss, &t_o, &t_h)
+            .unwrap();
         let u = dual_certificate(&loss, &points, &t_o, &t_h).unwrap();
         let exact: f64 = dense.weights().iter().zip(&u).map(|(w, v)| w * v).sum();
         assert!(est.radius.is_finite() && est.radius > 0.0);
@@ -1954,7 +1867,11 @@ mod tests {
         );
 
         // The sampled max never exceeds the true max.
-        let max = sketch.max_payoff(&loss, &t_o, &t_h).unwrap();
+        let max = sketch
+            .publish_snapshot()
+            .unwrap()
+            .max_payoff(&loss, &t_o, &t_h)
+            .unwrap();
         let true_max = u.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(max.value <= true_max + 1e-12);
         assert!(max.uncovered_mass > 0.0 && max.uncovered_mass < 0.1);
@@ -2006,7 +1923,11 @@ mod tests {
                 }
                 let loss = bit_loss(4, dim);
                 let (t_o, t_h) = ([0.85], [0.15]);
-                let est = sketch.certificate_mean(&loss, &t_o, &t_h).unwrap();
+                let est = sketch
+                    .publish_snapshot()
+                    .unwrap()
+                    .certificate_mean(&loss, &t_o, &t_h)
+                    .unwrap();
                 let u = dual_certificate(&loss, &points, &t_o, &t_h).unwrap();
                 let exact: f64 = dense.weights().iter().zip(&u).map(|(w, v)| w * v).sum();
                 assert!(
@@ -2064,7 +1985,11 @@ mod tests {
                         .unwrap();
                 }
                 let loss = bit_loss(2, 10);
-                let est = sketch.certificate_mean(&loss, &[0.8], &[0.3]).unwrap();
+                let est = sketch
+                    .publish_snapshot()
+                    .unwrap()
+                    .certificate_mean(&loss, &[0.8], &[0.3])
+                    .unwrap();
                 assert!(est.radius.is_finite() && est.radius > 0.0);
                 assert!(
                     est.radius <= est.envelope_radius,
@@ -2141,10 +2066,9 @@ mod tests {
         // radius 0, beta 0.
         let (sketch, _, _) = driven_pair(10, 256, 10);
         assert!(!sketch.is_exhaustive());
-        let est = sketch.query_mean(&ZeroQuery(10)).unwrap();
+        let est = query_mean(&sketch, &ZeroQuery(10)).unwrap();
         assert_eq!(est.value, 0.0);
         assert_eq!((est.radius, est.beta), (0.0, 0.0));
-        assert_eq!(est.bound, pmw_dp::RadiusBound::Exact);
         let ledger = sketch.ledger();
         let rec = ledger.records().last().unwrap();
         assert_eq!(rec.radius, 0.0);
@@ -2156,10 +2080,10 @@ mod tests {
         // The incrementally maintained pool cache must agree with the
         // O(t·d) from-scratch evaluation of the same indices.
         let (sketch, _, _) = driven_pair(8, 64, 4);
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.pool.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool.log_w[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2199,7 +2123,7 @@ mod tests {
             .zip(&dense_vals)
             .map(|(w, v)| w * v)
             .sum();
-        let est = sketch.query_mean(&q).unwrap();
+        let est = query_mean(&sketch, &q).unwrap();
         assert_eq!((est.radius, est.beta), (0.0, 0.0));
         assert!(
             (est.value - exact).abs() < 1e-12,
@@ -2207,7 +2131,7 @@ mod tests {
             est.value
         );
         let dense_q = pmw_data::LinearQuery::new(dense_vals).unwrap();
-        let est_idx = sketch.query_mean(&dense_q).unwrap();
+        let est_idx = query_mean(&sketch, &dense_q).unwrap();
         assert!((est_idx.value - exact).abs() < 1e-12);
         // Ledger records query estimates like every other read.
         assert!(sketch
@@ -2226,7 +2150,7 @@ mod tests {
             .zip(points2.iter())
             .map(|(w, p)| w * q2.evaluate(p))
             .sum();
-        let est2 = sub.query_mean(&q2).unwrap();
+        let est2 = query_mean(&sub, &q2).unwrap();
         assert!(est2.radius.is_finite() && est2.radius > 0.0);
         assert!(
             (est2.value - exact2).abs() <= est2.radius,
@@ -2236,12 +2160,8 @@ mod tests {
         );
 
         // Dimension / length mismatches are rejected.
-        assert!(sketch
-            .query_mean(&ImplicitQuery::marginal(vec![0], 9).unwrap())
-            .is_err());
-        assert!(sketch
-            .query_mean(&pmw_data::LinearQuery::new(vec![1.0; 3]).unwrap())
-            .is_err());
+        assert!(query_mean(&sketch, &ImplicitQuery::marginal(vec![0], 9).unwrap()).is_err());
+        assert!(query_mean(&sketch, &pmw_data::LinearQuery::new(vec![1.0; 3]).unwrap()).is_err());
     }
 
     #[test]
@@ -2257,10 +2177,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         StateBackend::apply_query_update(&mut sketch, &q, None, -0.3, 1.0, None, &mut rng).unwrap();
         assert_eq!(sketch.rounds(), 4);
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.pool.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool.log_w[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
             assert!((dense.log_weight(idx) - exact).abs() < 1e-12, "idx {idx}");
@@ -2295,20 +2215,20 @@ mod tests {
         )
         .unwrap();
         assert!(!sketch.is_exhaustive());
-        let before: Vec<usize> = sketch.pool_indices.clone();
+        let before: Vec<usize> = sketch.pool.indices.clone();
         // Two query rounds: the second triggers the drift-aware refresh.
         let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
         StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng).unwrap();
         assert_eq!(sketch.resamples(), 0);
         StateBackend::apply_query_update(&mut sketch, &q, None, -1.0, 0.4, None, &mut rng).unwrap();
         assert_eq!(sketch.resamples(), 1);
-        assert_ne!(before, sketch.pool_indices, "pool must be redrawn");
+        assert_ne!(before, sketch.pool.indices, "pool must be redrawn");
         // Every fresh candidate's cached log-weight equals the exact
         // from-scratch (LazyLogBackend-engine) evaluation.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.pool.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool.log_w[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2389,14 +2309,9 @@ mod tests {
         .unwrap();
         assert_eq!(sketch.record(upd), Err(SketchError::Poisoned));
         assert_eq!(sketch.resample(&mut rng), Err(SketchError::Poisoned));
-        assert_eq!(
-            sketch.certificate_mean(&loss, &[0.5], &[0.2]),
-            Err(SketchError::Poisoned)
-        );
-        assert_eq!(
-            sketch.max_payoff(&loss, &[0.5], &[0.2]),
-            Err(SketchError::Poisoned)
-        );
+        // Every read goes through a published snapshot, and a poisoned
+        // backend publishes none.
+        assert_eq!(sketch.publish_snapshot().err(), Some(SketchError::Poisoned));
         assert_eq!(sketch.log_weight_of(0), Err(SketchError::Poisoned));
         assert!(matches!(
             StateBackend::sample_indices(&sketch, 2, &mut rng),
@@ -2456,10 +2371,10 @@ mod tests {
         // Drained: a second take returns nothing.
         assert!(StateBackend::take_events(&mut sketch).is_empty());
         // Refreshed candidates match the exact from-scratch evaluation.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.pool.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool.log_w[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2483,8 +2398,8 @@ mod tests {
         )
         .unwrap();
         let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
-        let before_indices = sketch.pool_indices.clone();
-        let before_log_w = sketch.pool_log_w.clone();
+        let before_indices = sketch.pool.indices.clone();
+        let before_log_w = sketch.pool.log_w.clone();
         let err = StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng)
             .unwrap_err();
         assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
@@ -2493,8 +2408,8 @@ mod tests {
         // explaining the failure survive the rollback, closed by an
         // explicit rollback marker.
         assert_eq!(sketch.rounds(), 0);
-        assert_eq!(sketch.pool_indices, before_indices);
-        assert_eq!(sketch.pool_log_w, before_log_w);
+        assert_eq!(sketch.pool.indices, before_indices);
+        assert_eq!(sketch.pool.log_w, before_log_w);
         assert!(!sketch.is_poisoned());
         let events = StateBackend::take_events(&mut sketch);
         assert!(
@@ -2513,8 +2428,8 @@ mod tests {
         // The next (feasible) round still works after loosening nothing:
         // reads with a finite threshold keep erroring loudly instead.
         assert!(matches!(
-            sketch.query_mean(&q),
-            Err(SketchError::Degraded(_))
+            query_mean(&sketch, &q),
+            Err(PmwError::Degraded(_))
         ));
     }
 
@@ -2556,16 +2471,16 @@ mod tests {
             ]
         ));
         // The grown (now exhaustive) pool agrees with the exact log.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.pool.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool.log_w[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
         // Exact state: reads succeed with zero radius under the same
         // tight threshold.
-        let est = sketch.query_mean(&q).unwrap();
+        let est = query_mean(&sketch, &q).unwrap();
         assert_eq!((est.radius, est.beta), (0.0, 0.0));
         // Ledger recorded the ladder's actions.
         let ledger = sketch.ledger();
@@ -2574,6 +2489,78 @@ mod tests {
             .iter()
             .any(|r| r.label == "emergency-resample"));
         assert!(ledger.records().iter().any(|r| r.label == "pool-growth"));
+    }
+
+    #[test]
+    fn published_snapshots_stay_frozen_under_direct_writes() {
+        use pmw_data::workload::ImplicitQuery;
+        // Driven directly — record, resample, compact_now, growth — no
+        // rollback checkpoint ever holds the pool, so copy-on-write in
+        // `record` is the only guard between a published snapshot and the
+        // backend's writes.
+        let cube = BooleanCube::new(6).unwrap();
+        let mut rng = StdRng::seed_from_u64(71);
+        let config = SampledConfig {
+            budget: 16,
+            ..SampledConfig::default()
+        };
+        let mut sketch = SampledBackend::new(UniversePoints(cube), config, &mut rng).unwrap();
+        let readings = |snap: &SampledSnapshot| -> Vec<u64> {
+            let loss = bit_loss(1, 6);
+            let q = ImplicitQuery::marginal(vec![0, 2], 6).unwrap();
+            let est = snap.expected_query_value(&q, None).unwrap();
+            let cert = snap.certificate_mean(&loss, &[0.8], &[0.3]).unwrap();
+            let max = snap.max_payoff(&loss, &[0.8], &[0.3]).unwrap();
+            [
+                est.value,
+                est.radius,
+                cert.value,
+                cert.radius,
+                max.value,
+                max.uncovered_mass,
+                snap.read_radius(1.0),
+            ]
+            .map(f64::to_bits)
+            .to_vec()
+        };
+        let round = |t: usize| {
+            let loss = Arc::new(bit_loss(t % 6, 6)) as Arc<dyn CmLoss>;
+            RoundUpdate::new(loss, vec![0.9], vec![0.2], 0.5).unwrap()
+        };
+        let mut published = Vec::new();
+        let mut publish = |sketch: &SampledBackend<_>| {
+            let snap = sketch.publish_snapshot().unwrap();
+            published.push((readings(&snap), snap));
+        };
+        publish(&sketch);
+        for t in 0..3 {
+            sketch.record(round(t)).unwrap();
+            publish(&sketch);
+        }
+        sketch.resample(&mut rng).unwrap();
+        publish(&sketch);
+        sketch.record(round(3)).unwrap();
+        publish(&sketch);
+        sketch.compact_now().unwrap();
+        assert_eq!(sketch.compactions(), 1);
+        publish(&sketch);
+        sketch.record(round(4)).unwrap();
+        publish(&sketch);
+        sketch.grow_pool(64, &mut rng).unwrap();
+        assert_eq!(sketch.pool_size(), 32);
+        publish(&sketch);
+        sketch.record(round(5)).unwrap();
+        publish(&sketch);
+        for (i, (want, snap)) in published.iter().enumerate() {
+            assert_eq!(readings(snap), *want, "snapshot {i} changed");
+        }
+        // Publication is O(1): back-to-back snapshots share the backend's
+        // pool instead of copying it.
+        let (a, b) = (
+            sketch.publish_snapshot().unwrap(),
+            sketch.publish_snapshot().unwrap(),
+        );
+        assert!(Arc::ptr_eq(&a.pool, &b.pool) && Arc::ptr_eq(&a.pool, &sketch.pool));
     }
 
     #[test]

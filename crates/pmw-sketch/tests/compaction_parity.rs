@@ -85,16 +85,16 @@ fn read_trace(backend: &SampledBackend<UniversePoints<BooleanCube>>, seed: u64) 
     let mut bits = Vec::new();
     for bit in 0..DIM {
         let loss = bit_loss(bit);
-        match backend.certificate_mean(&loss, &[0.8], &[0.3]) {
+        let snap = backend.publish_snapshot().unwrap();
+        match snap.certificate_mean(&loss, &[0.8], &[0.3]) {
             Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()]),
             Err(_) => bits.push(u64::MAX),
         }
         let q = ImplicitQuery::threshold(bit, 0.5, DIM).unwrap();
-        match backend.query_mean(&q as &dyn PointQuery) {
+        match snap.expected_query_value(&q as &dyn PointQuery, None) {
             Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits()]),
             Err(_) => bits.push(u64::MAX),
         }
-        let snap = backend.publish_snapshot().unwrap();
         bits.push(snap.read_radius(loss.scale_bound()).to_bits());
         bits.push(backend.sample_index(&mut rng) as u64);
     }

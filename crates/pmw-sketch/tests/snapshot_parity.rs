@@ -1,7 +1,8 @@
 //! Snapshot/commit split, read-side parity: a snapshot published mid-run
-//! answers **bit-for-bit identically** to the live backend at the same
-//! round, for both sketch backends — and stays immutable and sane while
-//! the writer keeps updating, failing, and rolling back around it.
+//! describes the backend's state at that round — bit-for-bit the live
+//! state's exact expectation for the lazy backend — and stays immutable
+//! and sane while the writer keeps updating, failing, and rolling back
+//! around it.
 
 use pmw_core::{OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
 use pmw_data::workload::ImplicitQuery;
@@ -10,7 +11,7 @@ use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
 use pmw_sketch::{
     FaultPlan, FaultyBackend, FaultyOracle, LazyLogBackend, RoundUpdate, SampledBackend,
-    SampledConfig, SketchError, UniversePoints,
+    SampledConfig, SampledSnapshot, SketchError, UniversePoints,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,39 +46,40 @@ fn bit_query(bit: usize) -> ImplicitQuery {
     ImplicitQuery::threshold(bit, 0.5, DIM).unwrap()
 }
 
-/// Bitwise comparison of a snapshot's query means (value, radius, beta)
-/// against the live sampled backend's `query_mean` at the same round.
-fn assert_sampled_snapshot_matches_live(
-    backend: &SampledBackend<UniversePoints<BooleanCube>>,
-    round: usize,
-) {
+/// Publish a snapshot of a sampled backend and check it describes the
+/// backend's current round.
+fn publish_checked(backend: &SampledBackend<UniversePoints<BooleanCube>>) -> SampledSnapshot {
     let snapshot = backend.publish_snapshot().unwrap();
     assert_eq!(snapshot.updates_recorded(), backend.updates_recorded());
     assert_eq!(snapshot.universe_size(), backend.universe_size());
     assert_eq!(snapshot.pool_size(), backend.pool_size());
+    snapshot
+}
 
+/// Every reading a sampled snapshot gives, per bit, as bit patterns: the
+/// query mean and the certificate mean (value, radius, beta), the max
+/// payoff (value, uncovered mass, beta) and the read margin. `None` where
+/// a read honestly degraded (radius past the usable threshold).
+fn sampled_readings(snapshot: &SampledSnapshot) -> Vec<Option<u64>> {
+    let bits = |vals: [f64; 3]| vals.map(|v| Some(v.to_bits()));
+    let mut out = Vec::new();
     for bit in 0..DIM {
-        let query = bit_query(bit);
-        let live = backend.query_mean(&query as &dyn PointQuery);
-        let snap = snapshot.expected_query_value(&query as &dyn PointQuery, None);
-        match (live, snap) {
-            (Ok(live), Ok(snap)) => {
-                assert_eq!(
-                    live.value.to_bits(),
-                    snap.value.to_bits(),
-                    "round {round} bit {bit}: snapshot query value diverged"
-                );
-                assert_eq!(live.radius.to_bits(), snap.radius.to_bits());
-                assert_eq!(live.beta.to_bits(), snap.beta.to_bits());
-            }
-            // A degraded read (radius past the usable threshold) must
-            // degrade identically through the snapshot.
-            (Err(SketchError::Degraded(a)), Err(PmwError::Degraded(b))) => assert_eq!(a, b),
-            (live, snap) => {
-                panic!("round {round} bit {bit}: live {live:?} vs snapshot {snap:?}")
-            }
+        match snapshot.expected_query_value(&bit_query(bit) as &dyn PointQuery, None) {
+            Ok(e) => out.extend(bits([e.value, e.radius, e.beta])),
+            Err(PmwError::Degraded(_)) => out.push(None),
+            Err(e) => panic!("bit {bit}: unexpected query-mean error {e:?}"),
         }
+        let loss = bit_loss(bit);
+        match snapshot.certificate_mean(&loss, &[0.8], &[0.3]) {
+            Ok(e) => out.extend(bits([e.value, e.radius, e.beta])),
+            Err(SketchError::Degraded(_)) => out.push(None),
+            Err(e) => panic!("bit {bit}: unexpected certificate-mean error {e:?}"),
+        }
+        let max = snapshot.max_payoff(&loss, &[0.8], &[0.3]).unwrap();
+        out.extend(bits([max.value, max.uncovered_mass, max.beta]));
+        out.push(Some(snapshot.read_radius(loss.scale_bound()).to_bits()));
     }
+    out
 }
 
 #[test]
@@ -100,37 +102,44 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
     )
     .unwrap();
 
-    // Round 0 (uniform state) and then mid-run after every answer.
-    assert_sampled_snapshot_matches_live(mech.state(), 0);
-    let mut snapshots: Vec<(usize, Arc<dyn ReadSnapshot>)> = Vec::new();
+    // Round 0 (uniform state) and then mid-run after every answer: each
+    // snapshot's readings are recorded the moment it is published.
+    let publish = |mech: &OnlinePmw<_, SampledBackend<_>>| {
+        let snapshot = publish_checked(mech.state());
+        (mech.updates_used(), sampled_readings(&snapshot), snapshot)
+    };
+    let mut published = vec![publish(&mech)];
     for q in 0..8usize {
         let loss = bit_loss(q % DIM);
         match mech.answer(&loss, &mut rng) {
             Ok(_) | Err(PmwError::Halted) => {}
             Err(e) => panic!("unexpected error: {e:?}"),
         }
-        assert_sampled_snapshot_matches_live(mech.state(), q + 1);
-        snapshots.push((mech.updates_used(), mech.state().snapshot().unwrap()));
+        published.push(publish(&mech));
         if mech.has_halted() {
             break;
         }
     }
     assert!(mech.updates_used() > 0, "no update ever committed");
 
-    // Old snapshots are frozen: each still reports the round it was
-    // published at, even after later updates moved the live state on.
-    for (round, snap) in &snapshots {
+    // Old snapshots are frozen bit-for-bit: each still reports the round it
+    // was published at and gives exactly the readings it gave then, even
+    // after later updates, resamples and copy-on-write moved the live pool
+    // on.
+    for (round, readings, snap) in &published {
         assert_eq!(snap.updates_recorded(), *round);
-        let est = snap
-            .expected_query_value(&bit_query(0) as &dyn PointQuery, None)
-            .unwrap();
-        assert!(est.value.is_finite() && est.radius >= 0.0);
+        assert_eq!(
+            sampled_readings(snap),
+            *readings,
+            "the snapshot published at round {round} changed"
+        );
     }
 }
 
 #[test]
 fn lazy_snapshot_reads_are_bitwise_live_at_every_round() {
     let cube = BooleanCube::new(4).unwrap();
+    let points = cube.materialize();
     let mut lazy = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
     let steps = [
         (0usize, 0.9, 0.4, 0.7),
@@ -148,11 +157,22 @@ fn lazy_snapshot_reads_are_bitwise_live_at_every_round() {
         let snapshot = lazy.snapshot();
         assert_eq!(snapshot.rounds(), i + 1);
         assert_eq!(snapshot.universe_size(), cube.size());
+        // The live state's exact expectation, from its per-point
+        // log-weights in `x` order with the sweep's float order: shift by
+        // the max, then accumulate numerator and normalizer.
+        let log_w: Vec<f64> = (0..cube.size())
+            .map(|x| lazy.log_weight_of(x).unwrap())
+            .collect();
+        let shift = log_w.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         for b in 0..4 {
             let query = ImplicitQuery::threshold(b, 0.5, 4).unwrap();
-            let live = lazy
-                .expected_query_value(&query as &dyn PointQuery)
-                .unwrap();
+            let (mut num, mut den) = (0.0, 0.0);
+            for (x, &lw) in log_w.iter().enumerate() {
+                let w = (lw - shift).exp();
+                num += w * query.evaluate(points.row(x));
+                den += w;
+            }
+            let live: f64 = num / den;
             let snap = snapshot
                 .expected_query_value(&query as &dyn PointQuery, None)
                 .unwrap();
@@ -253,8 +273,8 @@ fn writer_faults_never_corrupt_published_snapshots() {
                 break;
             }
             // Publish from the inner transactional backend: the rolled-
-            // back, consistent state — bitwise equal to its live reads.
-            assert_sampled_snapshot_matches_live(mech.state().inner(), q);
+            // back, consistent state.
+            publish_checked(mech.state().inner());
             let snap: Arc<dyn ReadSnapshot> = mech.state().inner().snapshot().unwrap();
             let readings: Vec<Option<u64>> = (0..DIM)
                 .map(|b| {

@@ -84,6 +84,8 @@ fn main() {
             )
             .expect("record");
         let est = backend
+            .publish_snapshot()
+            .expect("snapshot")
             .certificate_mean(&loss, &theta_o, &theta_h)
             .expect("estimate");
         let _synthetic: Vec<usize> = (0..4).map(|_| backend.sample_index(&mut rng)).collect();

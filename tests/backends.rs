@@ -78,7 +78,8 @@ proptest! {
             ).unwrap()).unwrap();
         }
         let loss = bit_loss(query_bit, 10);
-        let est = sketch.certificate_mean(&loss, &[t_o], &[t_h]).unwrap();
+        let snapshot = sketch.publish_snapshot().unwrap();
+        let est = snapshot.certificate_mean(&loss, &[t_o], &[t_h]).unwrap();
         let u = dual_certificate(&loss, &points, &[t_o], &[t_h]).unwrap();
         let exact: f64 = dense.weights().iter().zip(&u).map(|(w, v)| w * v).sum();
         prop_assert!(est.radius.is_finite() && est.radius > 0.0);
@@ -100,7 +101,7 @@ proptest! {
         ));
         // The sampled max never exceeds the true max and carries a
         // nontrivial coverage bound.
-        let max = sketch.max_payoff(&loss, &[t_o], &[t_h]).unwrap();
+        let max = snapshot.max_payoff(&loss, &[t_o], &[t_h]).unwrap();
         let true_max = u.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(max.value <= true_max + 1e-12);
         prop_assert!(max.uncovered_mass > 0.0 && max.uncovered_mass < 0.05);
@@ -127,7 +128,11 @@ fn exhaustive_pools_report_zero_radius_through_the_new_path() {
     // Direct read: radius 0, beta 0, tagged exact — and the envelope
     // column is 0 too (nothing to compare against).
     let loss = bit_loss(1, 4);
-    let est = sketch.certificate_mean(&loss, &[0.7], &[0.2]).unwrap();
+    let est = sketch
+        .publish_snapshot()
+        .unwrap()
+        .certificate_mean(&loss, &[0.7], &[0.2])
+        .unwrap();
     assert_eq!((est.radius, est.beta), (0.0, 0.0));
     assert_eq!(est.bound, pmw::dp::RadiusBound::Exact);
     assert_eq!(est.envelope_radius, 0.0);

@@ -1,7 +1,7 @@
 //! The linear-query mechanisms on the state-backend seam: sampled-vs-dense
 //! MWEM parity, and the fully sublinear (point-source) paths at `2^20`.
 
-use pmw::core::{DenseBackend, LinearPmw, Mwem, PmwConfig, PmwError};
+use pmw::core::{DenseBackend, LinearPmw, Mwem, PmwConfig, PmwError, ReadSnapshot};
 use pmw::data::workload::{random_implicit_marginals, ImplicitQuery};
 use pmw::data::LinearQuery;
 use pmw::prelude::*;
@@ -338,7 +338,12 @@ fn mwem_with_pool_refresh_stays_consistent() {
     // Spot-check: a fresh estimate on the refreshed pool still lands near
     // the exact (lazy-log) evaluation of the same state.
     let probe = ImplicitQuery::marginal(vec![0], log2_x).unwrap();
-    let est = run.state.query_mean(&probe).unwrap();
+    let est = run
+        .state
+        .publish_snapshot()
+        .unwrap()
+        .expected_query_value(&probe, None)
+        .unwrap();
     assert!(est.radius.is_finite() && est.radius > 0.0);
     assert!(est.value.is_finite() && (0.0..=1.0).contains(&est.value));
 }
